@@ -351,7 +351,13 @@ Accelerator::beginResume()
                 onResumed();
             } else if (saved == Status::kDone ||
                        saved == Status::kError) {
-                raiseDoorbell();
+                // As in restore(): a ring job that drained to
+                // completion under the preempt never posted; post it
+                // now, through the ring the hypervisor re-armed.
+                if (_ringArmed && _ringState.jobActive)
+                    ringPostCompletion(saved);
+                else
+                    raiseDoorbell();
             }
         });
 }

@@ -1,6 +1,7 @@
 #include "hv/optimus.hh"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "fpga/mmio_layout.hh"
@@ -11,6 +12,21 @@ namespace optimus::hv {
 using accel::Status;
 namespace reg = accel::reg;
 namespace ctrl = accel::ctrl;
+
+namespace {
+bool
+isAppReg(std::uint64_t r)
+{
+    return r >= reg::kApp0 && r < reg::kApp0 + 8ULL * reg::kNumAppRegs &&
+           r % 8 == 0;
+}
+
+bool
+eligible(const VirtualAccel *v)
+{
+    return v->visibleStatus() == Status::kRunning;
+}
+} // namespace
 
 OptimusHv::OptimusHv(Platform &platform)
     : _platform(platform),
@@ -99,10 +115,8 @@ OptimusHv::createVirtualAccel(guest::Process &proc,
 {
     OPTIMUS_ASSERT(slot_idx < _slots.size(), "bad physical slot");
     Slot &slot = _slots[slot_idx];
-    if (!optimusMode()) {
-        OPTIMUS_ASSERT(slot.vaccels.empty(),
-                       "pass-through cannot oversubscribe");
-    }
+    OPTIMUS_ASSERT(optimusMode() || slot.vaccels.empty(),
+                   "pass-through cannot oversubscribe");
 
     auto v = std::make_unique<VirtualAccel>();
     v->_id = _nextVaccelId++;
@@ -123,19 +137,15 @@ OptimusHv::createVirtualAccel(guest::Process &proc,
         &_platform.telemetry()
              .node(proc.vm().name() + "." + proc.name())
              .child(sim::strprintf("vaccel%u", v->_id)));
-    if (optimusMode()) {
-        v->_windowBytes = _platform.params().sliceBytes;
-        v->_windowBase = proc.mmapNoReserve(v->_windowBytes);
-        v->_sliceIovaBase =
-            sliceStride() * (static_cast<std::uint64_t>(v->_id) + 1);
-    } else {
-        // Pass-through with vIOMMU: the device sees guest virtual
-        // addresses directly (identity IOVA), but the guest library
-        // still reserves a DMA region to allocate from.
-        v->_windowBytes = _platform.params().sliceBytes;
-        v->_windowBase = proc.mmapNoReserve(v->_windowBytes);
-        v->_sliceIovaBase = v->_windowBase.value();
-    }
+    v->_windowBytes = _platform.params().sliceBytes;
+    v->_windowBase = proc.mmapNoReserve(v->_windowBytes);
+    // Pass-through with vIOMMU: the device sees guest virtual
+    // addresses directly (identity IOVA), but the guest library
+    // still reserves a DMA region to allocate from.
+    v->_sliceIovaBase =
+        optimusMode()
+            ? sliceStride() * (static_cast<std::uint64_t>(v->_id) + 1)
+            : v->_windowBase.value();
     _occupancy.push_back(0);
 
     VirtualAccel *raw = v.get();
@@ -145,7 +155,7 @@ OptimusHv::createVirtualAccel(guest::Process &proc,
     if (slot.scheduled == nullptr && !slot.switching) {
         slot.scheduled = raw;
         slot.scheduledAt = eventq().now();
-        scheduleVaccel(slot, *raw, []() {});
+        scheduleVaccel(*raw, []() {});
     }
     if (slot.vaccels.size() == 2)
         armSliceTimer(slot_idx);
@@ -192,20 +202,23 @@ OptimusHv::deviceMmioSeq(
                });
 }
 
+sim::Tick
+OptimusHv::guestMmioCost()
+{
+    if (!optimusMode())
+        return _platform.params().mmioNative;
+    ++_traps;
+    return _platform.params().trapEmulateCost;
+}
+
 void
 OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
                      std::uint64_t value, std::function<void()> done)
 {
-    const auto &p = _platform.params();
-    sim::Tick cost =
-        optimusMode() ? p.trapEmulateCost : p.mmioNative;
-    if (optimusMode())
-        ++_traps;
     if (!done)
         done = []() {};
-
-    eventq().scheduleIn(cost, [this, &v, r, value,
-                               done = std::move(done)]() mutable {
+    eventq().scheduleIn(guestMmioCost(), [this, &v, r, value,
+                                          done = std::move(done)]() mutable {
         const bool sched = isScheduled(v);
         auto forward = [this, &v, r, done](std::uint64_t val) {
             deviceMmio(true, accelRegOffset(v._slot, r), val,
@@ -218,26 +231,20 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
             // operations; guests may not issue them directly.
             bits &= ~(ctrl::kPreempt | ctrl::kResume);
             if (bits & ctrl::kStart) {
-                v._visibleStatus = Status::kRunning;
-                v._cachedResult = 0;
-                v._cachedProgress = 0;
-                v._savedContext = false;
-                // A fresh START acknowledges and clears any earlier
+                // A fresh START discards the old job, saved context
+                // included, and acknowledges and clears any earlier
                 // fault; a quarantined vaccel becomes eligible again.
-                v._errStatus = 0;
-                v._quarantined = false;
+                // Descheduled (or mid-switch), it becomes the kick of
+                // the next schedule, which no later SAVED doorbell
+                // may turn back into a RESUME of the old job.
+                v._ctx.visibleStatus = Status::kRunning;
+                v._ctx.cachedResult = 0;
+                v._ctx.cachedProgress = 0;
+                v._ctx.errStatus = 0;
+                v._ctx.onSchedule =
+                    sched ? OnSchedule::kNothing : OnSchedule::kStart;
                 if (!sched) {
-                    v._pendingStart = true;
-                    Slot &slot = _slots[v._slot];
-                    if (optimusMode() && slot.scheduled == nullptr &&
-                        !slot.switching) {
-                        // The slot sits vacant (e.g. after a
-                        // quarantine reset emptied it): claim it now
-                        // — the dormant slice timer would never fire.
-                        performSwitch(v._slot, &v);
-                    } else {
-                        armSliceTimer(v._slot);
-                    }
+                    claimSlot(v);
                     armWatchdog(v);
                     done();
                     return;
@@ -245,51 +252,37 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
                 armWatchdog(v);
             }
             if (bits & ctrl::kSoftReset) {
-                v._visibleStatus = Status::kIdle;
-                v._pendingStart = false;
-                v._savedContext = false;
-                v._errStatus = 0;
-                v._quarantined = false;
-                if (!sched) {
-                    done();
-                    return;
-                }
+                v._ctx.visibleStatus = Status::kIdle;
+                v._ctx.onSchedule = OnSchedule::kNothing;
+                v._ctx.errStatus = 0;
             }
-            if (bits == 0) {
+            if (bits == 0 || ((bits & ctrl::kSoftReset) && !sched))
                 done();
-                return;
-            }
-            forward(bits);
+            else
+                forward(bits);
             return;
         }
         if (r == reg::kStateBuf) {
-            v._stateBufGva = value;
-            if (sched) {
-                forward(value);
-            } else {
-                done();
-            }
-            return;
-        }
-        if (r >= reg::kApp0 &&
-            r < reg::kApp0 + 8ULL * reg::kNumAppRegs && r % 8 == 0) {
+            v._ctx.stateBufGva = value;
+        } else if (isAppReg(r)) {
             auto idx =
                 static_cast<std::uint32_t>((r - reg::kApp0) / 8);
-            v._regCache[idx] = value;
-            if (std::find(v._touchedRegs.begin(),
-                          v._touchedRegs.end(),
-                          idx) == v._touchedRegs.end()) {
-                v._touchedRegs.push_back(idx);
+            v._ctx.regCache[idx] = value;
+            if (std::find(v._ctx.touchedRegs.begin(),
+                          v._ctx.touchedRegs.end(),
+                          idx) == v._ctx.touchedRegs.end()) {
+                v._ctx.touchedRegs.push_back(idx);
             }
-            if (sched) {
-                forward(value);
-            } else {
-                done();
-            }
+        } else {
+            done(); // read-only or unknown register: ignored
             return;
         }
-        // Read-only or unknown register: ignored.
-        done();
+        // Cached for the next schedule; live on the device too if v
+        // holds it now.
+        if (sched)
+            forward(value);
+        else
+            done();
     });
 }
 
@@ -297,36 +290,29 @@ void
 OptimusHv::mmioRead(VirtualAccel &v, std::uint64_t r,
                     std::function<void(std::uint64_t)> done)
 {
-    const auto &p = _platform.params();
-    sim::Tick cost =
-        optimusMode() ? p.trapEmulateCost : p.mmioNative;
-    if (optimusMode())
-        ++_traps;
-
-    eventq().scheduleIn(cost, [this, &v, r,
-                               done = std::move(done)]() mutable {
+    eventq().scheduleIn(guestMmioCost(), [this, &v, r,
+                                          done = std::move(done)]() mutable {
         const bool sched = isScheduled(v);
 
         if (r == reg::kStatus) {
             // The hypervisor hides the physical accelerator's
             // status (it may be running someone else's job).
-            done(static_cast<std::uint64_t>(v._visibleStatus));
+            done(static_cast<std::uint64_t>(v._ctx.visibleStatus));
             return;
         }
         if (r == reg::kErrStatus) {
             // Hypervisor-owned: each tenant observes only its own
             // faults, never the physical device's (or a co-tenant's).
-            done(v._errStatus);
+            done(v._ctx.errStatus);
             return;
         }
         if ((r == reg::kResult || r == reg::kProgress) && !sched) {
-            done(r == reg::kResult ? v._cachedResult
-                                   : v._cachedProgress);
+            done(r == reg::kResult ? v._ctx.cachedResult
+                                   : v._ctx.cachedProgress);
             return;
         }
-        if (r >= reg::kApp0 &&
-            r < reg::kApp0 + 8ULL * reg::kNumAppRegs && r % 8 == 0) {
-            done(v._regCache[(r - reg::kApp0) / 8]);
+        if (isAppReg(r)) {
+            done(v._ctx.regCache[(r - reg::kApp0) / 8]);
             return;
         }
         if (!sched) {
@@ -347,28 +333,18 @@ OptimusHv::registerDmaPage(VirtualAccel &v, mem::Gva page_base,
                            std::function<void(bool)> done)
 {
     ++_hypercalls;
-    const auto &p = _platform.params();
-
-    eventq().scheduleIn(p.hypercallCost, [this, &v, page_base,
-                                          done = std::move(
-                                              done)]() mutable {
-        if (page_base.pageOffset(mem::kPage2M) != 0) {
-            ++_rejectedPages;
-            done(false);
-            return;
-        }
+    eventq().scheduleIn(_platform.params().hypercallCost,
+                        [this, &v, page_base,
+                         done = std::move(done)]() mutable {
         // Window check: the page must fall inside this virtual
         // accelerator's DMA slice.
-        if (optimusMode()) {
-            std::uint64_t off = page_base - v._windowBase;
-            if (page_base < v._windowBase ||
-                off + mem::kPage2M > v._windowBytes) {
-                ++_rejectedPages;
-                done(false);
-                return;
-            }
-        }
-        if (!v._proc->isBacked(page_base)) {
+        const bool in_window =
+            !optimusMode() ||
+            (page_base >= v._windowBase &&
+             (page_base - v._windowBase) + mem::kPage2M <=
+                 v._windowBytes);
+        if (page_base.pageOffset(mem::kPage2M) != 0 || !in_window ||
+            !v._proc->isBacked(page_base)) {
             ++_rejectedPages;
             done(false);
             return;
@@ -411,13 +387,13 @@ ring::DeviceConfig
 OptimusHv::ringConfigFor(const VirtualAccel &v) const
 {
     ring::DeviceConfig cfg;
-    cfg.base = mem::Gva(v._ringBase);
-    cfg.entries = v._ringEntries;
-    cfg.state.prodSeq = v._ringProdSeq;
-    cfg.state.nextSeq = v._ringConsSeq;
-    cfg.state.compSeq = v._ringCompSeq;
-    cfg.state.jobSeq = v._ringJobSeq;
-    cfg.state.jobActive = v._ringJobActive;
+    cfg.base = mem::Gva(v._ctx.ringBase);
+    cfg.entries = v._ctx.ringEntries;
+    cfg.state.prodSeq = v._ctx.ringProdSeq;
+    cfg.state.nextSeq = v._ctx.ringConsSeq;
+    cfg.state.compSeq = v._ctx.ringCompSeq;
+    cfg.state.jobSeq = v._ctx.ringJobSeq;
+    cfg.state.jobActive = v._ctx.ringJobActive;
     return cfg;
 }
 
@@ -439,14 +415,14 @@ OptimusHv::setupRing(VirtualAccel &v, mem::Gva base,
         _platform.params().hypercallCost,
         [this, &v, base, entries,
          done = std::move(done)]() mutable {
-            v._ringEnabled = true;
-            v._ringBase = base.value();
-            v._ringEntries = entries;
-            v._ringProdSeq = 0;
-            v._ringConsSeq = 0;
-            v._ringCompSeq = 0;
-            v._ringJobSeq = 0;
-            v._ringJobActive = false;
+            v._ctx.ringEnabled = true;
+            v._ctx.ringBase = base.value();
+            v._ctx.ringEntries = entries;
+            v._ctx.ringProdSeq = 0;
+            v._ctx.ringConsSeq = 0;
+            v._ctx.ringCompSeq = 0;
+            v._ctx.ringJobSeq = 0;
+            v._ctx.ringJobActive = false;
             if (isScheduled(v))
                 _platform.accel(v._slot).armRing(ringConfigFor(v));
             done();
@@ -457,7 +433,7 @@ void
 OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
                        std::function<void()> done)
 {
-    OPTIMUS_ASSERT(v._ringEnabled, "ringPublish without setupRing");
+    OPTIMUS_ASSERT(v._ctx.ringEnabled, "ringPublish without setupRing");
     if (!done)
         done = []() {};
     // The publish itself is two plain stores in the guest's own
@@ -470,37 +446,19 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
             ++_ringKicks;
             if (v._sched)
                 ++v._sched->ringSubmits;
-            if (_trace &&
-                _trace->wants(sim::TraceKind::kRingSubmit)) {
-                sim::TraceRecord r;
-                r.kind = sim::TraceKind::kRingSubmit;
-                r.comp = _comp;
-                r.addr = v._id;
-                r.arg = prod_seq;
-                r.vm = v._vmId;
-                r.proc = v._procId;
-                _trace->emit(r);
-            }
-            if (prod_seq > v._ringProdSeq)
-                v._ringProdSeq = prod_seq;
+            traceVaccel(sim::TraceKind::kRingSubmit, v, prod_seq);
+            if (prod_seq > v._ctx.ringProdSeq)
+                v._ctx.ringProdSeq = prod_seq;
             // Like START, new work acknowledges an earlier fault and
             // makes a quarantined tenant eligible again — but unlike
             // START it preserves a saved context: publishing behind a
             // preempted job just queues more entries.
-            v._visibleStatus = Status::kRunning;
-            v._errStatus = 0;
-            v._quarantined = false;
-            if (isScheduled(v)) {
-                _platform.accel(v._slot).ringNotify(v._ringProdSeq);
-            } else {
-                Slot &slot = _slots[v._slot];
-                if (optimusMode() && slot.scheduled == nullptr &&
-                    !slot.switching) {
-                    performSwitch(v._slot, &v);
-                } else {
-                    armSliceTimer(v._slot);
-                }
-            }
+            v._ctx.visibleStatus = Status::kRunning;
+            v._ctx.errStatus = 0;
+            if (isScheduled(v))
+                _platform.accel(v._slot).ringNotify(v._ctx.ringProdSeq);
+            else
+                claimSlot(v);
             armWatchdog(v);
             done();
         });
@@ -510,83 +468,63 @@ void
 OptimusHv::syncRingFromDevice(VirtualAccel &v,
                               const accel::Accelerator &a)
 {
-    if (!v._ringEnabled || !a.ringArmed())
+    if (!v._ctx.ringEnabled || !a.ringArmed())
         return;
     const ring::DeviceState &st = a.ringState();
     // Cursors only ever advance; a stale device view (e.g. a
     // freshly-armed placeholder next to imported mirrors) must not
     // roll them back.
-    if (st.compSeq > v._ringCompSeq) {
-        std::uint64_t n = st.compSeq - v._ringCompSeq;
-        _ringCompletes += n;
-        if (v._sched)
-            v._sched->ringCompletes += n;
-        if (_trace &&
-            _trace->wants(sim::TraceKind::kRingComplete)) {
-            for (std::uint64_t seq = v._ringCompSeq;
-                 seq < st.compSeq; ++seq) {
-                sim::TraceRecord r;
-                r.kind = sim::TraceKind::kRingComplete;
-                r.comp = _comp;
-                r.addr = v._id;
-                r.arg = seq;
-                r.vm = v._vmId;
-                r.proc = v._procId;
-                _trace->emit(r);
-            }
-        }
-        v._ringCompSeq = st.compSeq;
+    if (st.compSeq > v._ctx.ringCompSeq) {
+        noteRingCompletes(v, v._ctx.ringCompSeq, st.compSeq);
+        v._ctx.ringCompSeq = st.compSeq;
     }
-    if (st.nextSeq > v._ringConsSeq)
-        v._ringConsSeq = st.nextSeq;
-    if (st.prodSeq > v._ringProdSeq)
-        v._ringProdSeq = st.prodSeq;
+    if (st.nextSeq > v._ctx.ringConsSeq)
+        v._ctx.ringConsSeq = st.nextSeq;
+    if (st.prodSeq > v._ctx.ringProdSeq)
+        v._ctx.ringProdSeq = st.prodSeq;
     if (st.jobActive) {
-        v._ringJobActive = true;
-        v._ringJobSeq = st.jobSeq;
-    } else if (st.nextSeq >= v._ringConsSeq &&
-               st.compSeq >= v._ringCompSeq) {
+        v._ctx.ringJobActive = true;
+        v._ctx.ringJobSeq = st.jobSeq;
+    } else if (st.nextSeq >= v._ctx.ringConsSeq &&
+               st.compSeq >= v._ctx.ringCompSeq) {
         // Only a device whose cursors are current can attest that no
         // job is in flight.
-        v._ringJobActive = false;
+        v._ctx.ringJobActive = false;
     }
+}
+
+void
+OptimusHv::noteRingCompletes(VirtualAccel &v, std::uint64_t from,
+                             std::uint64_t to)
+{
+    _ringCompletes += to - from;
+    if (v._sched)
+        v._sched->ringCompletes += to - from;
+    for (std::uint64_t seq = from; seq < to; ++seq)
+        traceVaccel(sim::TraceKind::kRingComplete, v, seq);
 }
 
 void
 OptimusHv::postRingErrors(VirtualAccel &v)
 {
-    if (!v._ringEnabled)
+    if (!v._ctx.ringEnabled)
         return;
     // Pick up completions the device posted since the last doorbell
     // so they are not overwritten as errors.
     const Slot &slot = _slots[v._slot];
     if (slot.scheduled == &v)
         syncRingFromDevice(v, _platform.accel(v._slot));
-    const std::uint64_t from = v._ringCompSeq;
-    const std::uint64_t to = v._ringProdSeq;
-    v._ringJobActive = false;
+    const std::uint64_t from = v._ctx.ringCompSeq;
+    const std::uint64_t to = v._ctx.ringProdSeq;
+    v._ctx.ringJobActive = false;
     if (from >= to)
         return;
-    v._ringCompSeq = to;
-    v._ringConsSeq = to;
-    _ringCompletes += to - from;
-    if (v._sched)
-        v._sched->ringCompletes += to - from;
-    if (_trace && _trace->wants(sim::TraceKind::kRingComplete)) {
-        for (std::uint64_t seq = from; seq < to; ++seq) {
-            sim::TraceRecord r;
-            r.kind = sim::TraceKind::kRingComplete;
-            r.comp = _comp;
-            r.addr = v._id;
-            r.arg = seq;
-            r.vm = v._vmId;
-            r.proc = v._procId;
-            _trace->emit(r);
-        }
-    }
-    const std::uint64_t err = v._errStatus;
-    const std::uint64_t base = v._ringBase;
-    const std::uint32_t entries = v._ringEntries;
+    v._ctx.ringCompSeq = to;
+    v._ctx.ringConsSeq = to;
+    noteRingCompletes(v, from, to);
+    const std::uint64_t err = v._ctx.errStatus;
+    const std::uint64_t base = v._ctx.ringBase;
+    const std::uint32_t entries = v._ctx.ringEntries;
     const sim::Tick at = eventq().now();
     guest::Process *proc = v._proc;
     // The entry slots and cursor words live in guest memory (host
@@ -616,15 +554,6 @@ OptimusHv::postRingErrors(VirtualAccel &v)
 // ------------------------------------------------------------ scheduling
 
 void
-OptimusHv::vcuSeq(
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> writes,
-    std::function<void()> done)
-{
-    _vcuQueue.emplace_back(std::move(writes), std::move(done));
-    drainVcuQueue();
-}
-
-void
 OptimusHv::drainVcuQueue()
 {
     if (_vcuBusy || _vcuQueue.empty())
@@ -644,26 +573,23 @@ void
 OptimusHv::programOffsetEntry(VirtualAccel &v,
                               std::function<void()> done)
 {
-    if (!optimusMode()) {
-        done();
-        return;
-    }
     namespace vr = fpga::vcu_reg;
     const std::uint64_t base = fpga::kVcuMmioBase;
     std::uint64_t offset =
         v._sliceIovaBase - v._windowBase.value(); // mod 2^64
-    vcuSeq(
-        {{base + vr::kOffsetIndex, v._slot},
-         {base + vr::kOffsetGvaBase, v._windowBase.value()},
-         {base + vr::kOffsetValue, offset},
-         {base + vr::kOffsetWindow, v._windowBytes},
-         {base + vr::kOffsetCommit, 1}},
+    _vcuQueue.emplace_back(
+        std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+            {base + vr::kOffsetIndex, v._slot},
+            {base + vr::kOffsetGvaBase, v._windowBase.value()},
+            {base + vr::kOffsetValue, offset},
+            {base + vr::kOffsetWindow, v._windowBytes},
+            {base + vr::kOffsetCommit, 1}},
         std::move(done));
+    drainVcuQueue();
 }
 
 void
-OptimusHv::scheduleVaccel(Slot &slot, VirtualAccel &v,
-                          std::function<void()> done)
+OptimusHv::scheduleVaccel(VirtualAccel &v, std::function<void()> done)
 {
     if (v._sched)
         ++v._sched->slices;
@@ -672,64 +598,49 @@ OptimusHv::scheduleVaccel(Slot &slot, VirtualAccel &v,
     if (fpga::HardwareMonitor *m = _platform.monitor())
         m->auditor(v._slot).setOwner(v._vmId, v._procId);
 
-    // 1. Reset the physical accelerator (isolation: clear the
-    //    previous tenant's state), via the VCU reset table.
-    auto after_reset = [this, &slot, &v,
-                        done = std::move(done)]() mutable {
-        // 2. Install v's offset-table entry (page table slicing).
-        programOffsetEntry(v, [this, &slot, &v,
-                               done = std::move(done)]() mutable {
-            // 3. Synchronize cached application registers and the
-            //    state buffer pointer.
-            std::vector<std::pair<std::uint64_t, std::uint64_t>> w;
-            for (std::uint32_t idx : v._touchedRegs) {
-                w.emplace_back(
-                    accelRegOffset(v._slot, reg::appReg(idx)),
-                    v._regCache[idx]);
-            }
-            if (v._stateBufGva != 0) {
-                w.emplace_back(
-                    accelRegOffset(v._slot, reg::kStateBuf),
-                    v._stateBufGva);
-            }
-            // 4. Kick the job: resume a saved context, or start a
-            //    job the guest requested while descheduled.
-            if (v._savedContext) {
-                w.emplace_back(accelRegOffset(v._slot, reg::kCtrl),
-                               ctrl::kResume);
-                v._savedContext = false;
-            } else if (v._pendingStart) {
-                w.emplace_back(accelRegOffset(v._slot, reg::kCtrl),
-                               ctrl::kStart);
-                v._pendingStart = false;
-            }
-            (void)slot;
-            // 5. Ring tenants: re-arm the device poller with the
-            //    mirrored cursors — only after the register replay
-            //    (and any RESUME) landed, or the poller could fetch a
-            //    command into a half-programmed device.
-            auto arm = [this, &v,
-                        done = std::move(done)]() mutable {
-                if (v._ringEnabled)
-                    _platform.accel(v._slot).armRing(
-                        ringConfigFor(v));
-                done();
-            };
-            deviceMmioSeq(std::move(w), std::move(arm));
-        });
+    auto replay = [this, &v, done = std::move(done)]() mutable {
+        VaccelContext &c = v._ctx;
+        // 3. Synchronize cached application registers and the state
+        //    buffer pointer.
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> w;
+        for (std::uint32_t idx : c.touchedRegs) {
+            w.emplace_back(accelRegOffset(v._slot, reg::appReg(idx)),
+                           c.regCache[idx]);
+        }
+        if (c.stateBufGva != 0) {
+            w.emplace_back(accelRegOffset(v._slot, reg::kStateBuf),
+                           c.stateBufGva);
+        }
+        // 4. Kick the job: resume a saved context, or start a job the
+        //    guest requested while descheduled.
+        if (c.onSchedule != OnSchedule::kNothing) {
+            w.emplace_back(accelRegOffset(v._slot, reg::kCtrl),
+                           c.onSchedule == OnSchedule::kResume
+                               ? ctrl::kResume
+                               : ctrl::kStart);
+            c.onSchedule = OnSchedule::kNothing;
+        }
+        // 5. Ring tenants: re-arm the device poller with the mirrored
+        //    cursors — only after the register replay (and any RESUME)
+        //    landed, or the poller could fetch a command into a
+        //    half-programmed device.
+        auto arm = [this, &v, done = std::move(done)]() mutable {
+            if (v._ctx.ringEnabled)
+                _platform.accel(v._slot).armRing(ringConfigFor(v));
+            done();
+        };
+        deviceMmioSeq(std::move(w), std::move(arm));
     };
-
-    if (optimusMode()) {
-        deviceMmio(true,
-                   fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                   1ULL << v._slot,
-                   [after_reset =
-                        std::move(after_reset)](std::uint64_t) mutable {
-                       after_reset();
-                   });
-    } else {
-        after_reset();
+    if (!optimusMode()) {
+        replay();
+        return;
     }
+    // 1. Reset the physical accelerator (isolation: clear the previous
+    //    tenant's state), via the VCU reset table; 2. install v's
+    //    offset-table entry (page table slicing).
+    resetDevice(v._slot, [this, &v, replay]() {
+        programOffsetEntry(v, replay);
+    });
 }
 
 sim::Tick
@@ -768,14 +679,6 @@ OptimusHv::armSliceTimer(std::uint32_t slot_idx)
                         });
 }
 
-namespace {
-bool
-eligible(const VirtualAccel *v)
-{
-    return v->visibleStatus() == Status::kRunning;
-}
-} // namespace
-
 VirtualAccel *
 OptimusHv::pickNext(Slot &slot)
 {
@@ -783,32 +686,25 @@ OptimusHv::pickNext(Slot &slot)
     if (n == 0)
         return nullptr;
 
-    if (slot.policy == SchedPolicy::kPriority) {
-        VirtualAccel *best = nullptr;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            VirtualAccel *v =
-                slot.vaccels[(slot.rrNext + i) % n].get();
-            if (!eligible(v))
-                continue;
-            if (!best || v->_priority > best->_priority)
-                best = v;
-        }
-        if (best) {
-            slot.rrNext = (slot.rrNext + 1) % n;
-        }
-        return best;
-    }
-
-    // Round-robin (optionally weighted): next eligible in order.
+    // Round-robin (optionally weighted) takes the next eligible in
+    // order; priority takes the first highest-priority one from the
+    // same rotating start, and rotates the start by one.
+    VirtualAccel *best = nullptr;
     for (std::uint32_t i = 0; i < n; ++i) {
         std::uint32_t idx = (slot.rrNext + i) % n;
         VirtualAccel *v = slot.vaccels[idx].get();
-        if (eligible(v)) {
+        if (!eligible(v))
+            continue;
+        if (slot.policy != SchedPolicy::kPriority) {
             slot.rrNext = (idx + 1) % n;
             return v;
         }
+        if (!best || v->_priority > best->_priority)
+            best = v;
     }
-    return nullptr;
+    if (best)
+        slot.rrNext = (slot.rrNext + 1) % n;
+    return best;
 }
 
 void
@@ -823,12 +719,11 @@ OptimusHv::sliceExpired(std::uint32_t slot_idx, std::uint64_t epoch)
         // Re-arm only if someone else could become schedulable by
         // pure time passage; otherwise the timer goes dormant and a
         // postponed START re-arms it.
-        bool other_eligible = false;
-        for (const auto &v : slot.vaccels) {
-            if (v.get() != slot.scheduled && eligible(v.get()))
-                other_eligible = true;
-        }
-        if (other_eligible)
+        if (std::any_of(slot.vaccels.begin(), slot.vaccels.end(),
+                        [&slot](const auto &v) {
+                            return v.get() != slot.scheduled &&
+                                   eligible(v.get());
+                        }))
             armSliceTimer(slot_idx);
         return;
     }
@@ -836,102 +731,146 @@ OptimusHv::sliceExpired(std::uint32_t slot_idx, std::uint64_t epoch)
 }
 
 void
-OptimusHv::performSwitch(std::uint32_t slot_idx, VirtualAccel *to)
+OptimusHv::performSwitch(std::uint32_t slot_idx, VirtualAccel *to,
+                         std::function<void()> switched)
 {
-    Slot &slot = _slots[slot_idx];
     OPTIMUS_ASSERT(optimusMode(),
                    "temporal multiplexing requires OPTIMUS mode");
-    slot.switching = true;
-    ++slot.timerEpoch; // cancel any pending slice timer
-
-    VirtualAccel *from = slot.scheduled;
-    const auto &p = _platform.params();
-
-    auto proceed = [this, slot_idx, to]() {
-        Slot &s = _slots[slot_idx];
+    auto proceed = [this, slot_idx, to, switched]() {
         ++_ctxSwitches;
         // Software cost: trap handling, table updates, register
         // synchronization bookkeeping.
-        eventq().scheduleIn(
-            _platform.params().contextSwitchSwCost,
-            [this, slot_idx, to]() {
-                Slot &s2 = _slots[slot_idx];
-                scheduleVaccel(s2, *to, [this, slot_idx, to]() {
-                    Slot &s3 = _slots[slot_idx];
-                    s3.scheduled = to;
-                    s3.scheduledAt = eventq().now();
-                    s3.switching = false;
-                    armSliceTimer(slot_idx);
-                    // The tenant only now gained the hardware: the
-                    // no-progress deadline restarts from this instant,
-                    // invalidating any check armed while the switch
-                    // (38us of software cost plus the VCU sequence)
-                    // was still in flight — that one would expire
-                    // before the device had a chance to move.
-                    to->_wdArmed = false;
-                    armWatchdog(*to);
-                });
-            });
-        (void)s;
+        eventq().scheduleIn(_platform.params().contextSwitchSwCost,
+                            [this, slot_idx, to, switched]() {
+                                switchIn(slot_idx, *to, switched);
+                            });
     };
 
-    if (from == nullptr) {
-        proceed();
+    Slot &slot = _slots[slot_idx];
+    if (slot.scheduled != nullptr) {
+        cede(slot_idx, false, std::move(proceed));
         return;
     }
+    slot.switching = true;
+    ++slot.timerEpoch; // cancel any pending slice timer
+    proceed();
+}
 
-    notePreempted(slot_idx, *from);
+void
+OptimusHv::switchIn(std::uint32_t slot_idx, VirtualAccel &v,
+                    std::function<void()> switched)
+{
+    scheduleVaccel(v, [this, slot_idx, &v, switched]() {
+        Slot &slot = _slots[slot_idx];
+        slot.scheduled = &v;
+        slot.scheduledAt = eventq().now();
+        slot.switching = false;
+        armSliceTimer(slot_idx);
+        // The tenant only now gained the hardware: the no-progress
+        // deadline restarts from this instant, invalidating any check
+        // armed while the switch (38us of software cost plus the VCU
+        // sequence) was still in flight — that one would expire
+        // before the device had a chance to move.
+        v._wdArmed = false;
+        armWatchdog(v);
+        switched();
+    });
+}
 
-    if (from->_stateBufGva == 0 &&
-        from->_visibleStatus == Status::kRunning) {
+void
+OptimusHv::cede(std::uint32_t slot_idx, bool exporting,
+                std::function<void()> then)
+{
+    Slot &slot = _slots[slot_idx];
+    VirtualAccel &v = *slot.scheduled;
+    slot.switching = true;
+    ++slot.timerEpoch; // cancel any pending slice timer
+    notePreempted(slot_idx, v);
+
+    if (v._ctx.stateBufGva == 0 &&
+        v._ctx.visibleStatus == Status::kRunning) {
         // The accelerator does not implement the preemption
         // interface (no state buffer): forcibly reset it.
-        ++_forcedResets;
-        noteError(*from, accel::errst::kForcedReset);
-        from->_visibleStatus = Status::kError;
-        from->_savedContext = false;
-        postRingErrors(*from);
-        deviceMmio(true,
-                   fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                   1ULL << slot_idx,
-                   [proceed](std::uint64_t) { proceed(); });
+        forceReset(slot_idx, v, exporting, std::move(then));
         return;
     }
 
     // Ask the accelerator to save its context; continue on the
     // SAVED doorbell, or force a reset after the timeout.
     std::uint64_t token = ++slot.preemptToken;
-    slot.onSaved = [this, slot_idx, from, proceed]() {
-        Slot &s = _slots[slot_idx];
-        from->_savedContext = true;
-        // The hardware registers still hold from's values; cache
-        // the guest-visible ones before they are clobbered.
-        from->_cachedResult = _platform.accel(slot_idx).result();
-        from->_cachedProgress =
-            _platform.accel(slot_idx).progress();
-        (void)s;
-        proceed();
+    slot.onSaved = [this, slot_idx, &v, then]() {
+        // A START that trapped mid-switch already discarded the
+        // saved job (and zeroed the cached registers): its kick
+        // stands.
+        if (v._ctx.onSchedule != OnSchedule::kStart) {
+            v._ctx.onSchedule = OnSchedule::kResume;
+            // The hardware registers still hold v's values; cache
+            // the guest-visible ones before they are clobbered.
+            v._ctx.cachedResult = _platform.accel(slot_idx).result();
+            v._ctx.cachedProgress =
+                _platform.accel(slot_idx).progress();
+        }
+        then();
     };
-
-    eventq().scheduleIn(p.preemptTimeout, [this, slot_idx, token,
-                                           from, proceed]() {
-        Slot &s = _slots[slot_idx];
-        if (s.preemptToken != token || !s.onSaved)
-            return; // save completed in time
-        s.onSaved = nullptr;
-        ++_forcedResets;
-        noteError(*from, accel::errst::kForcedReset);
-        from->_visibleStatus = Status::kError;
-        from->_savedContext = false;
-        postRingErrors(*from);
-        deviceMmio(true,
-                   fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                   1ULL << slot_idx,
-                   [proceed](std::uint64_t) { proceed(); });
-    });
-
+    eventq().scheduleIn(
+        _platform.params().preemptTimeout,
+        [this, slot_idx, token, &v, exporting, then]() {
+            Slot &s = _slots[slot_idx];
+            if (s.preemptToken != token || !s.onSaved)
+                return; // save completed in time
+            s.onSaved = nullptr;
+            forceReset(slot_idx, v, exporting, then);
+        });
     deviceMmio(true, accelRegOffset(slot_idx, reg::kCtrl),
                ctrl::kPreempt, nullptr);
+}
+
+void
+OptimusHv::forceReset(std::uint32_t slot_idx, VirtualAccel &v,
+                      bool exporting, std::function<void()> then)
+{
+    ++_forcedResets;
+    noteError(v, accel::errst::kForcedReset);
+    v._ctx.visibleStatus = Status::kError;
+    v._ctx.onSchedule = OnSchedule::kNothing;
+    // The reset wipes the poller's cursors: take over the completions
+    // it posted since the last doorbell first, so they are neither
+    // lost nor overwritten as errors.
+    syncRingFromDevice(v, _platform.accel(slot_idx));
+    if (!exporting)
+        postRingErrors(v);
+    resetDevice(slot_idx, std::move(then));
+}
+
+void
+OptimusHv::resetDevice(std::uint32_t slot_idx,
+                       std::function<void()> then)
+{
+    deviceMmio(true, fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
+               1ULL << slot_idx,
+               [then = std::move(then)](std::uint64_t) { then(); });
+}
+
+void
+OptimusHv::vacate(std::uint32_t slot_idx)
+{
+    Slot &slot = _slots[slot_idx];
+    slot.scheduled = nullptr;
+    slot.switching = false;
+    if (VirtualAccel *next = pickNext(slot))
+        performSwitch(slot_idx, next);
+}
+
+void
+OptimusHv::claimSlot(VirtualAccel &v, std::function<void()> switched)
+{
+    Slot &slot = _slots[v._slot];
+    if (optimusMode() && slot.scheduled == nullptr && !slot.switching) {
+        performSwitch(v._slot, &v, std::move(switched));
+        return;
+    }
+    armSliceTimer(v._slot);
+    switched();
 }
 
 void
@@ -952,47 +891,34 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
         syncRingFromDevice(*v, a);
         if (slot.onSaved) {
             ++slot.preemptToken; // cancel the timeout
-            auto cb = std::move(slot.onSaved);
-            slot.onSaved = nullptr;
-            cb();
+            std::exchange(slot.onSaved, nullptr)();
         }
         return;
     }
-    if (st == Status::kDone || st == Status::kError) {
-        if (st == Status::kError)
-            noteError(*v, accel::errst::kDeviceError);
-        if (v->_ringEnabled) {
-            syncRingFromDevice(*v, a);
-            v->_cachedResult = a.result();
-            v->_cachedProgress = a.progress();
-            if (st == Status::kError) {
-                // Per-job results ride the ring; the doorbell only
-                // announces the fault. Everything submitted but not
-                // completed gets an error completion.
-                v->_visibleStatus = Status::kError;
-                postRingErrors(*v);
-                if (v->_completion)
-                    v->_completion(st);
-                return;
-            }
+    if (st != Status::kDone && st != Status::kError)
+        return;
+    if (st == Status::kError)
+        noteError(*v, accel::errst::kDeviceError);
+    v->_ctx.cachedResult = a.result();
+    v->_ctx.cachedProgress = a.progress();
+    if (v->_ctx.ringEnabled) {
+        syncRingFromDevice(*v, a);
+        if (st == Status::kError) {
+            // Per-job results ride the ring; the doorbell only
+            // announces the fault. Everything submitted but not
+            // completed gets an error completion.
+            postRingErrors(*v);
+        } else if (v->_ctx.ringProdSeq > v->_ctx.ringConsSeq) {
             // Drained doorbell: every entry the device knew of is
             // complete. A publish kick that raced the drain just
             // re-notifies the poller instead.
-            if (v->_ringProdSeq > v->_ringConsSeq) {
-                a.ringNotify(v->_ringProdSeq);
-                return;
-            }
-            v->_visibleStatus = Status::kDone;
-            if (v->_completion)
-                v->_completion(st);
+            a.ringNotify(v->_ctx.ringProdSeq);
             return;
         }
-        v->_visibleStatus = st;
-        v->_cachedResult = a.result();
-        v->_cachedProgress = a.progress();
-        if (v->_completion)
-            v->_completion(st);
     }
+    v->_ctx.visibleStatus = st;
+    if (v->_completion)
+        v->_completion(st);
 }
 
 void
@@ -1000,172 +926,62 @@ OptimusHv::migrate(VirtualAccel &v, std::uint32_t dst_idx,
                    std::function<void(bool)> done)
 {
     OPTIMUS_ASSERT(dst_idx < _slots.size(), "bad destination slot");
-    if (!optimusMode() || dst_idx == v._slot) {
-        done(false);
-        return;
-    }
     // Both slots must host the same accelerator configuration:
     // migration moves state, not bitstreams.
     const auto &apps = _platform.config().apps;
-    if (apps[v._slot] != apps[dst_idx]) {
+    if (!optimusMode() || dst_idx == v._slot ||
+        apps[v._slot] != apps[dst_idx] || _slots[dst_idx].switching) {
         done(false);
         return;
     }
-    Slot &src = _slots[v._slot];
-    Slot &dst = _slots[dst_idx];
-    if (src.switching || dst.switching) {
-        done(false); // a context switch is already in flight
-        return;
-    }
-
-    auto move_and_resume = [this, &v, dst_idx,
-                            done = std::move(done)]() mutable {
-        Slot &src2 = _slots[v._slot];
-        Slot &dst2 = _slots[dst_idx];
-
-        // Detach from the source slot's tenant list.
-        std::unique_ptr<VirtualAccel> owned;
-        for (auto it = src2.vaccels.begin();
-             it != src2.vaccels.end(); ++it) {
-            if (it->get() == &v) {
-                owned = std::move(*it);
-                src2.vaccels.erase(it);
-                break;
-            }
+    // The guest's handle holds v itself, so the same object moves:
+    // detached into a context, relinked, and adopted back.
+    exportContext(v, [this, &v, dst_idx, done](bool ok,
+                                               VaccelContext ctx) {
+        if (!ok) {
+            done(false);
+            return;
         }
-        OPTIMUS_ASSERT(owned != nullptr,
-                       "migrating an unknown virtual accelerator");
-        if (!src2.vaccels.empty())
-            src2.rrNext %= static_cast<std::uint32_t>(
-                src2.vaccels.size());
-
-        v._slot = dst_idx;
-        dst2.vaccels.push_back(std::move(owned));
+        relink(v, dst_idx);
         ++_migrations;
+        importContext(v, ctx, [done]() { done(true); });
+    });
+}
 
-        // Hand the vacated source slot to its next tenant.
-        if (src2.scheduled == nullptr) {
-            if (VirtualAccel *next = pickNext(src2)) {
-                performSwitch(
-                    static_cast<std::uint32_t>(&src2 - &_slots[0]),
-                    next);
-            }
-        }
-
-        // Schedule on the destination, or let its timer pick v up.
-        if (dst2.scheduled == nullptr && !dst2.switching) {
-            dst2.scheduled = &v;
-            dst2.scheduledAt = eventq().now();
-            scheduleVaccel(dst2, v,
-                           [done = std::move(done)]() mutable {
-                               done(true);
-                           });
-        } else {
-            done(true);
-        }
-        if (dst2.vaccels.size() >= 2)
-            armSliceTimer(dst_idx);
-    };
-
-    if (src.scheduled != &v) {
-        // Descheduled: the cached registers and saved context (if
-        // any) move with the vaccel.
-        move_and_resume();
-        return;
-    }
-
-    // Scheduled: preempt first.
-    if (v._visibleStatus == Status::kRunning &&
-        v._stateBufGva == 0) {
-        done(false); // cannot cede without a state buffer
-        return;
-    }
-    std::uint32_t src_idx = v._slot;
-    src.switching = true;
-    ++src.timerEpoch;
-    notePreempted(src_idx, v);
-
-    std::uint64_t token = ++src.preemptToken;
-    src.onSaved = [this, src_idx, &v,
-                   move_and_resume =
-                       std::move(move_and_resume)]() mutable {
-        Slot &s = _slots[src_idx];
-        v._savedContext = true;
-        v._cachedResult = _platform.accel(src_idx).result();
-        v._cachedProgress = _platform.accel(src_idx).progress();
-        s.scheduled = nullptr;
-        s.switching = false;
-        move_and_resume();
-    };
-    eventq().scheduleIn(
-        _platform.params().preemptTimeout,
-        [this, src_idx, token, &v]() {
-            Slot &s = _slots[src_idx];
-            if (s.preemptToken != token || !s.onSaved)
-                return;
-            // The accelerator failed to cede: reset it and abandon
-            // the migration (the vaccel stays, errored, on src).
-            s.onSaved = nullptr;
-            ++_forcedResets;
-            noteError(v, accel::errst::kForcedReset);
-            v._visibleStatus = Status::kError;
-            v._savedContext = false;
-            postRingErrors(v);
-            deviceMmio(
-                true,
-                fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                1ULL << src_idx, [this, src_idx](std::uint64_t) {
-                    Slot &s2 = _slots[src_idx];
-                    s2.scheduled = nullptr;
-                    s2.switching = false;
-                    if (VirtualAccel *next = pickNext(s2))
-                        performSwitch(src_idx, next);
-                });
-        });
-    deviceMmio(true, accelRegOffset(src_idx, reg::kCtrl),
-               ctrl::kPreempt, nullptr);
+void
+OptimusHv::relink(VirtualAccel &v, std::uint32_t dst_idx)
+{
+    Slot &src = _slots[v._slot];
+    auto it = std::find_if(
+        src.vaccels.begin(), src.vaccels.end(),
+        [&v](const auto &owned) { return owned.get() == &v; });
+    OPTIMUS_ASSERT(it != src.vaccels.end(),
+                   "migrating an unknown virtual accelerator");
+    std::unique_ptr<VirtualAccel> owned = std::move(*it);
+    src.vaccels.erase(it);
+    if (!src.vaccels.empty())
+        src.rrNext %= static_cast<std::uint32_t>(src.vaccels.size());
+    v._slot = dst_idx;
+    _slots[dst_idx].vaccels.push_back(std::move(owned));
 }
 
 void
 OptimusHv::exportContext(
     VirtualAccel &v, std::function<void(bool, VaccelContext)> done)
 {
-    if (!optimusMode()) {
-        done(false, {});
-        return;
-    }
     Slot &src = _slots[v._slot];
-    if (src.switching) {
-        done(false, {}); // a context switch is in flight; retry
+    if (!optimusMode() || src.switching) {
+        done(false, {}); // pass-through; or a switch in flight: retry
         return;
     }
 
     // Snapshot the hypervisor-side state, then neutralize the source
     // vaccel: the job now lives in the context, so the local
     // scheduler must never consider it eligible again.
-    auto capture = [this, &v]() {
-        VaccelContext ctx;
-        ctx.regCache = v._regCache;
-        ctx.touchedRegs = v._touchedRegs;
-        ctx.stateBufGva = v._stateBufGva;
-        ctx.pendingStart = v._pendingStart;
-        ctx.savedContext = v._savedContext;
-        ctx.visibleStatus = v._visibleStatus;
-        ctx.cachedResult = v._cachedResult;
-        ctx.cachedProgress = v._cachedProgress;
-        ctx.errStatus = v._errStatus;
-        ctx.quarantined = v._quarantined;
-        ctx.ringEnabled = v._ringEnabled;
-        ctx.ringBase = v._ringBase;
-        ctx.ringEntries = v._ringEntries;
-        ctx.ringProdSeq = v._ringProdSeq;
-        ctx.ringConsSeq = v._ringConsSeq;
-        ctx.ringCompSeq = v._ringCompSeq;
-        ctx.ringJobSeq = v._ringJobSeq;
-        ctx.ringJobActive = v._ringJobActive;
-        v._pendingStart = false;
-        v._savedContext = false;
-        v._visibleStatus = Status::kIdle;
+    auto capture = [&v]() {
+        VaccelContext ctx = v._ctx;
+        v._ctx.onSchedule = OnSchedule::kNothing;
+        v._ctx.visibleStatus = Status::kIdle;
         ++v._wdEpoch; // cancel any pending watchdog check
         v._wdArmed = false;
         return ctx;
@@ -1177,107 +993,65 @@ OptimusHv::exportContext(
         done(true, capture());
         return;
     }
-
-    if (v._visibleStatus == Status::kRunning &&
-        v._stateBufGva == 0) {
+    if (v._ctx.visibleStatus == Status::kRunning &&
+        v._ctx.stateBufGva == 0) {
         done(false, {}); // cannot cede without a state buffer
         return;
     }
 
-    std::uint32_t src_idx = v._slot;
-    src.switching = true;
-    ++src.timerEpoch;
-    notePreempted(src_idx, v);
-
-    auto vacate = [this, src_idx]() {
-        Slot &s = _slots[src_idx];
-        s.scheduled = nullptr;
-        s.switching = false;
-        if (VirtualAccel *next = pickNext(s))
-            performSwitch(src_idx, next);
-    };
-
-    if (v._visibleStatus != Status::kRunning) {
+    const std::uint32_t src_idx = v._slot;
+    if (v._ctx.visibleStatus != Status::kRunning) {
         // Nothing live on the device (idle or completed, with the
         // result already cached by the doorbell): reset the slot for
         // the next tenant and capture directly.
+        src.switching = true;
+        ++src.timerEpoch;
+        notePreempted(src_idx, v);
         VaccelContext ctx = capture();
-        deviceMmio(true,
-                   fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                   1ULL << src_idx,
-                   [vacate](std::uint64_t) { vacate(); });
+        resetDevice(src_idx, [this, src_idx]() { vacate(src_idx); });
         done(true, std::move(ctx));
         return;
     }
 
-    // Running on the device: preempt through the standard path —
-    // drain, save to the guest state buffer, SAVED doorbell — with
-    // the usual forced-reset timeout.
-    std::uint64_t token = ++src.preemptToken;
-    src.onSaved = [this, src_idx, &v, capture, vacate,
-                   done]() mutable {
-        v._savedContext = true;
-        v._cachedResult = _platform.accel(src_idx).result();
-        v._cachedProgress = _platform.accel(src_idx).progress();
+    // Running on the device: cede through the standard path — drain,
+    // save to the guest state buffer, SAVED doorbell. A forced reset
+    // exports the errored context anyway: the destination's service
+    // layer sees kError with the kForcedReset bit and retries the
+    // request.
+    cede(src_idx, true, [this, src_idx, capture, done]() {
         VaccelContext ctx = capture();
-        vacate();
+        vacate(src_idx);
         done(true, std::move(ctx));
-    };
-    eventq().scheduleIn(
-        _platform.params().preemptTimeout,
-        [this, src_idx, token, &v, capture, vacate,
-         done]() mutable {
-            Slot &s = _slots[src_idx];
-            if (s.preemptToken != token || !s.onSaved)
-                return; // save completed in time
-            s.onSaved = nullptr;
-            ++_forcedResets;
-            noteError(v, accel::errst::kForcedReset);
-            v._visibleStatus = Status::kError;
-            v._savedContext = false;
-            deviceMmio(
-                true,
-                fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                1ULL << src_idx,
-                [capture, vacate, done](std::uint64_t) mutable {
-                    // Export the errored context anyway: the
-                    // destination's service layer sees kError with
-                    // the kForcedReset bit and retries the request.
-                    VaccelContext ctx = capture();
-                    vacate();
-                    done(true, std::move(ctx));
-                });
-        });
-    deviceMmio(true, accelRegOffset(src_idx, reg::kCtrl),
-               ctrl::kPreempt, nullptr);
+    });
 }
 
 void
 OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx)
 {
-    v._regCache = ctx.regCache;
-    v._touchedRegs = ctx.touchedRegs;
-    v._stateBufGva = ctx.stateBufGva;
-    v._pendingStart = ctx.pendingStart;
-    v._savedContext = ctx.savedContext;
-    v._visibleStatus = ctx.visibleStatus;
-    v._cachedResult = ctx.cachedResult;
-    v._cachedProgress = ctx.cachedProgress;
-    v._errStatus = ctx.errStatus;
-    v._quarantined = ctx.quarantined;
-    if (ctx.ringEnabled) {
-        v._ringEnabled = true;
-        v._ringBase = ctx.ringBase;
-        v._ringEntries = ctx.ringEntries;
-        v._ringProdSeq = ctx.ringProdSeq;
-        v._ringConsSeq = ctx.ringConsSeq;
-        v._ringCompSeq = ctx.ringCompSeq;
-        v._ringJobSeq = ctx.ringJobSeq;
-        v._ringJobActive = ctx.ringJobActive;
+    importContext(v, ctx, []() {});
+}
+
+void
+OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx,
+                         std::function<void()> switched)
+{
+    VaccelContext &c = v._ctx;
+    const VaccelContext local = std::exchange(c, ctx);
+    if (!ctx.ringEnabled) {
+        // Ring fields travel only with a ring-enabled context; a
+        // ringless one leaves v's own attachment in place.
+        std::tie(c.ringEnabled, c.ringBase, c.ringEntries,
+                 c.ringProdSeq, c.ringConsSeq, c.ringCompSeq,
+                 c.ringJobSeq, c.ringJobActive) =
+            std::tie(local.ringEnabled, local.ringBase,
+                     local.ringEntries, local.ringProdSeq,
+                     local.ringConsSeq, local.ringCompSeq,
+                     local.ringJobSeq, local.ringJobActive);
+    } else {
         // A kError context with submitted-but-uncompleted entries
-        // came from a forced reset that raced the export — the
-        // source could not post the error completions, so deliver
-        // them here, into the already-imported window image.
+        // came from a forced reset that raced the export. The source
+        // leaves the error completions to this side (cede()), so
+        // deliver them here, into the already-imported window image.
         if (ctx.visibleStatus == Status::kError)
             postRingErrors(v);
         // Re-arm an idle placeholder's poller with the imported
@@ -1286,8 +1060,10 @@ OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx)
         if (rs.scheduled == &v && !rs.switching)
             _platform.accel(v._slot).armRing(ringConfigFor(v));
     }
-    if (ctx.visibleStatus != Status::kRunning || !optimusMode())
+    if (ctx.visibleStatus != Status::kRunning || !optimusMode()) {
+        switched();
         return;
+    }
 
     // Mirror a postponed START: claim a vacant slot now, or wait for
     // the slice timer. One extra case is specific to import — v may
@@ -1296,28 +1072,33 @@ OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx)
     // the device and clobber the imported context, so reprogram the
     // device from the context instead.
     Slot &slot = _slots[v._slot];
-    std::uint32_t slot_idx = v._slot;
+    const std::uint32_t slot_idx = v._slot;
     if (slot.scheduled == &v && !slot.switching) {
         slot.switching = true;
         ++slot.timerEpoch;
         ++_ctxSwitches;
-        scheduleVaccel(slot, v, [this, slot_idx]() {
-            Slot &s = _slots[slot_idx];
-            s.scheduledAt = eventq().now();
-            s.switching = false;
-            armSliceTimer(slot_idx);
-            if (s.scheduled) {
-                s.scheduled->_wdArmed = false;
-                armWatchdog(*s.scheduled);
-            }
-        });
+        switchIn(slot_idx, v, std::move(switched));
         return;
     }
-    if (slot.scheduled == nullptr && !slot.switching)
-        performSwitch(slot_idx, &v);
-    else
-        armSliceTimer(slot_idx);
+    claimSlot(v, std::move(switched));
     armWatchdog(v);
+}
+
+void
+OptimusHv::traceVaccel(sim::TraceKind kind, const VirtualAccel &v,
+                       std::uint64_t arg, sim::Tick start)
+{
+    if (!_trace || !_trace->wants(kind))
+        return;
+    sim::TraceRecord r;
+    r.kind = kind;
+    r.comp = _comp;
+    r.start = start;
+    r.addr = v._id;
+    r.arg = arg;
+    r.vm = v._vmId;
+    r.proc = v._procId;
+    _trace->emit(r);
 }
 
 void
@@ -1330,17 +1111,8 @@ OptimusHv::notePreempted(std::uint32_t slot_idx, VirtualAccel &v)
         v._sched->occupancyTicks += held;
         ++v._sched->preempts;
     }
-    if (_trace && _trace->wants(sim::TraceKind::kSchedPreempt)) {
-        sim::TraceRecord r;
-        r.kind = sim::TraceKind::kSchedPreempt;
-        r.comp = _comp;
-        r.start = slot.scheduledAt;
-        r.addr = v._id;
-        r.arg = slot_idx;
-        r.vm = v._vmId;
-        r.proc = v._procId;
-        _trace->emit(r);
-    }
+    traceVaccel(sim::TraceKind::kSchedPreempt, v, slot_idx,
+                slot.scheduledAt);
 }
 
 // -------------------------------------------------- watchdog & recovery
@@ -1353,7 +1125,7 @@ OptimusHv::setWatchdog(sim::Tick deadline)
         return;
     for (auto &slot : _slots) {
         for (auto &v : slot.vaccels) {
-            if (v->_visibleStatus == Status::kRunning)
+            if (v->_ctx.visibleStatus == Status::kRunning)
                 armWatchdog(*v);
         }
     }
@@ -1379,10 +1151,8 @@ OptimusHv::watchdogCheck(VirtualAccel *v, std::uint64_t epoch)
     if (epoch != v->_wdEpoch)
         return;
     v->_wdArmed = false;
-    if (_wdDeadline == 0)
-        return;
-    if (v->_visibleStatus != Status::kRunning)
-        return; // finished or reset; the next START re-arms
+    if (_wdDeadline == 0 || v->_ctx.visibleStatus != Status::kRunning)
+        return; // off, or finished or reset: the next START re-arms
     Slot &slot = _slots[v->_slot];
     if (slot.scheduled != v || slot.switching) {
         // Descheduled by temporal multiplexing: progress legitimately
@@ -1398,12 +1168,7 @@ OptimusHv::watchdogCheck(VirtualAccel *v, std::uint64_t epoch)
                           ? ~0ULL
                           : peekProgress(*v);
     if (p != v->_wdLastProgress && p != ~0ULL) {
-        v->_wdLastProgress = p;
-        v->_wdArmed = true;
-        std::uint64_t next = ++v->_wdEpoch;
-        eventq().scheduleIn(_wdDeadline, [this, v, next]() {
-            watchdogCheck(v, next);
-        });
+        armWatchdog(*v); // progress: the deadline restarts from here
         return;
     }
     quarantine(*v);
@@ -1415,25 +1180,14 @@ OptimusHv::quarantine(VirtualAccel &v)
     ++_watchdogFires;
     if (v._sched)
         ++v._sched->watchdogFires;
-    noteError(v, accel::errst::kWatchdog);
-    v._visibleStatus = Status::kError;
-    v._quarantined = true;
-    v._pendingStart = false;
-    v._savedContext = false;
+    noteError(v, accel::errst::kWatchdog); // the quarantine mark
+    v._ctx.visibleStatus = Status::kError;
+    v._ctx.onSchedule = OnSchedule::kNothing;
     // Ring tenants learn of the quarantine through their completion
     // ring: every submitted-but-uncompleted entry reports kError with
     // the kWatchdog bit.
     postRingErrors(v);
-    if (_trace && _trace->wants(sim::TraceKind::kWatchdogFire)) {
-        sim::TraceRecord r;
-        r.kind = sim::TraceKind::kWatchdogFire;
-        r.comp = _comp;
-        r.addr = v._id;
-        r.arg = v._slot;
-        r.vm = v._vmId;
-        r.proc = v._procId;
-        _trace->emit(r);
-    }
+    traceVaccel(sim::TraceKind::kWatchdogFire, v, v._slot);
     if (v._completion)
         v._completion(Status::kError);
     resetSlot(v._slot);
@@ -1471,23 +1225,16 @@ OptimusHv::resetSlot(std::uint32_t slot_idx)
     ++slot.timerEpoch;   // cancel the pending slice timer
     ++slot.preemptToken; // cancel any pending preempt timeout
     slot.onSaved = nullptr;
-    deviceMmio(true, fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-               1ULL << slot_idx, [this, slot_idx](std::uint64_t) {
-                   Slot &s = _slots[slot_idx];
-                   s.scheduled = nullptr;
-                   s.switching = false;
-                   // Co-tenants keep their shares: the next eligible
-                   // vaccel takes the slot through the full reattach
-                   // path (VCU reset, offset entry, register replay).
-                   if (VirtualAccel *next = pickNext(s))
-                       performSwitch(slot_idx, next);
-               });
+    // Co-tenants keep their shares: the next eligible vaccel takes the
+    // slot through the full reattach path (VCU reset, offset entry,
+    // register replay).
+    resetDevice(slot_idx, [this, slot_idx]() { vacate(slot_idx); });
 }
 
 void
 OptimusHv::noteError(VirtualAccel &v, std::uint64_t bits)
 {
-    v._errStatus |= bits;
+    v._ctx.errStatus |= bits;
     if (v._sched)
         ++v._sched->faults;
 }
@@ -1520,7 +1267,7 @@ OptimusHv::isScheduled(const VirtualAccel &v) const
     // A slot that is mid-switch no longer belongs to the outgoing
     // tenant even though `scheduled` still names it: a guest MMIO
     // trap landing in that window must take the descheduled path
-    // (register cache / pendingStart) or it would race the
+    // (register cache / OnSchedule kick) or it would race the
     // save/reset/reprogram sequence — a forwarded START would land
     // on a device about to be reset for the incoming tenant, and
     // the job would be lost with the vaccel stuck in kRunning.
@@ -1536,7 +1283,7 @@ OptimusHv::peekProgress(const VirtualAccel &v) const
             .accel(v._slot)
             .progress();
     }
-    return v._cachedProgress;
+    return v._ctx.cachedProgress;
 }
 
 sim::Tick

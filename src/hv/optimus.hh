@@ -45,31 +45,44 @@ enum class SchedPolicy
     kPriority,   ///< highest-priority runnable job gets every slice
 };
 
+/** What the next schedule onto a slot does after replaying the
+ *  cached registers (DESIGN.md §5, lifecycle table). */
+enum class OnSchedule : std::uint8_t
+{
+    kNothing, ///< idle, finished, or a ring tenant's poller re-arm
+    kStart,   ///< a START trapped while descheduled
+    kResume,  ///< reload the device blob a preemption saved
+};
+
 /**
  * The hypervisor-side context of one virtual accelerator: the cached
  * application registers replayed on every schedule, the state-buffer
- * pointer, the pending-start / saved-context flags, and the
- * guest-visible status and error bits. Together with the saved
- * device blob (which lives in the tenant's DMA window, written by
- * the preemption path) this is everything needed to re-host the
- * vaccel on another node's identical slot — the unit a fleet-level
- * migration moves (exportContext()/importContext()).
+ * pointer, what the next schedule kicks off, and the guest-visible
+ * status and error bits. Together with the saved device blob (which
+ * lives in the tenant's DMA window, written by the preemption path)
+ * this is everything needed to re-host the vaccel on another node's
+ * identical slot — the unit a fleet-level migration moves
+ * (exportContext()/importContext()).
  */
 struct VaccelContext
 {
     std::array<std::uint64_t, accel::reg::kNumAppRegs> regCache{};
     std::vector<std::uint32_t> touchedRegs;
     std::uint64_t stateBufGva = 0;
-    bool pendingStart = false;
-    bool savedContext = false;
+    /** A START pending supersedes a saved context: START discards
+     *  the old job, so a later SAVED doorbell never turns it back
+     *  into a RESUME. */
+    OnSchedule onSchedule = OnSchedule::kNothing;
     accel::Status visibleStatus = accel::Status::kIdle;
     std::uint64_t cachedResult = 0;
     std::uint64_t cachedProgress = 0;
+    /** Guest-visible ERR_STATUS; the kWatchdog bit is the quarantine. */
     std::uint64_t errStatus = 0;
-    bool quarantined = false;
     /** Command-ring attachment and mirrored cursors (DESIGN.md §14).
      *  The ring contents themselves live in the tenant's DMA window
-     *  and travel with the migration memory image. */
+     *  and travel with the migration memory image. The mirrors are
+     *  what re-arm the device poller exactly after preemption, slot
+     *  migration, and cross-node import. */
     bool ringEnabled = false;
     std::uint64_t ringBase = 0;
     std::uint32_t ringEntries = 0;
@@ -106,15 +119,19 @@ class VirtualAccel
     std::uint64_t sliceIovaBase() const { return _sliceIovaBase; }
 
     /** The hypervisor-maintained job status the guest observes. */
-    accel::Status visibleStatus() const { return _visibleStatus; }
-    std::uint64_t cachedResult() const { return _cachedResult; }
-    std::uint64_t cachedProgress() const { return _cachedProgress; }
+    accel::Status visibleStatus() const { return _ctx.visibleStatus; }
+    std::uint64_t cachedResult() const { return _ctx.cachedResult; }
+    std::uint64_t cachedProgress() const { return _ctx.cachedProgress; }
 
     /** Guest-visible error bits (accel::errst); the ERR_STATUS
      *  register this tenant reads.  Cleared by START / SOFT_RESET. */
-    std::uint64_t errorStatus() const { return _errStatus; }
-    /** Whether the watchdog quarantined this vaccel. */
-    bool quarantined() const { return _quarantined; }
+    std::uint64_t errorStatus() const { return _ctx.errStatus; }
+    /** Whether the watchdog quarantined this vaccel (until the next
+     *  START, ring publish or SOFT_RESET clears ERR_STATUS). */
+    bool quarantined() const
+    {
+        return (_ctx.errStatus & accel::errst::kWatchdog) != 0;
+    }
 
     /** Invoked (like an interrupt) on job DONE / ERROR. */
     void setCompletionHandler(CompletionHandler h)
@@ -124,11 +141,11 @@ class VirtualAccel
 
     /** Whether this vaccel drives its jobs through a shared-memory
      *  command ring (OptimusHv::setupRing) instead of MMIO START. */
-    bool ringEnabled() const { return _ringEnabled; }
+    bool ringEnabled() const { return _ctx.ringEnabled; }
     /** Hypervisor mirror of the guest's published submit cursor. */
-    std::uint64_t ringProdSeq() const { return _ringProdSeq; }
+    std::uint64_t ringProdSeq() const { return _ctx.ringProdSeq; }
     /** Hypervisor mirror of the device's completion cursor. */
-    std::uint64_t ringCompSeq() const { return _ringCompSeq; }
+    std::uint64_t ringCompSeq() const { return _ctx.ringCompSeq; }
 
   private:
     friend class OptimusHv;
@@ -180,36 +197,12 @@ class VirtualAccel
     /** IOVA base of this vaccel's slice (page table slicing). */
     std::uint64_t _sliceIovaBase = 0;
 
-    std::array<std::uint64_t, accel::reg::kNumAppRegs> _regCache{};
-    std::vector<std::uint32_t> _touchedRegs;
-    std::uint64_t _stateBufGva = 0;
+    VaccelContext _ctx;
 
-    bool _pendingStart = false;
-    bool _savedContext = false;
-    accel::Status _visibleStatus = accel::Status::kIdle;
-    std::uint64_t _cachedResult = 0;
-    std::uint64_t _cachedProgress = 0;
-
-    std::uint64_t _errStatus = 0;
-    bool _quarantined = false;
     /** Watchdog state: arm epoch, armed flag, last progress seen. */
     std::uint64_t _wdEpoch = 0;
     bool _wdArmed = false;
     std::uint64_t _wdLastProgress = 0;
-
-    /** Ring-path mirrors (valid when _ringEnabled): the hypervisor's
-     *  view of the guest's publish cursor and the device poller's
-     *  fetch/post cursors, refreshed at every doorbell. They are what
-     *  re-arms the device poller exactly after preemption, slot
-     *  migration, and cross-node import. */
-    bool _ringEnabled = false;
-    std::uint64_t _ringBase = 0;
-    std::uint32_t _ringEntries = 0;
-    std::uint64_t _ringProdSeq = 0;
-    std::uint64_t _ringConsSeq = 0;
-    std::uint64_t _ringCompSeq = 0;
-    std::uint64_t _ringJobSeq = 0;
-    bool _ringJobActive = false;
 
     double _weight = 1.0;
     std::int32_t _priority = 0;
@@ -265,12 +258,15 @@ class OptimusHv
      * Migrate a virtual accelerator to a different physical slot
      * (Section 7.1: "OPTIMUS's virtual accelerators can
      * theoretically be migrated" — implemented here as an
-     * extension). The destination must host the same accelerator
-     * configuration. A scheduled vaccel is preempted first; its
-     * saved context resumes on the destination. @p done receives
-     * false if the migration could not start (mismatched app types,
-     * a context switch already in flight, or a vaccel that cannot
-     * cede).
+     * extension): exportContext(), relink the same vaccel to the
+     * destination slot, importContext(). The destination must host
+     * the same accelerator configuration. A scheduled vaccel is
+     * preempted first; its saved context resumes on the destination,
+     * or — if the preempt timed out — it arrives there in kError with
+     * the kForcedReset bit. @p done receives true once the vaccel
+     * holds the destination slot or waits on it, and false if the
+     * migration could not start (mismatched app types, a context
+     * switch already in flight, or a vaccel that cannot cede).
      */
     void migrate(VirtualAccel &v, std::uint32_t dst_slot,
                  std::function<void(bool)> done);
@@ -286,7 +282,7 @@ class OptimusHv
      * ERR_STATUS bit (the context then carries kError and the
      * service layer's retry path re-runs the request on the
      * destination). After a successful export the source vaccel is
-     * neutralized (kIdle, no pending start, no saved context) so the
+     * neutralized (kIdle, OnSchedule::kNothing) so the
      * local scheduler never runs it again; its slot is handed to the
      * next tenant. @p done receives false — retry later — only if a
      * context switch already holds the slot.
@@ -374,7 +370,7 @@ class OptimusHv
     std::uint64_t peekProgress(const VirtualAccel &v) const;
     accel::Status peekStatus(const VirtualAccel &v) const
     {
-        return v._visibleStatus;
+        return v._ctx.visibleStatus;
     }
     /** Whether @p v currently owns its physical accelerator. */
     bool isScheduled(const VirtualAccel &v) const;
@@ -410,6 +406,9 @@ class OptimusHv
         return _platform.config().mode == FabricMode::kOptimus;
     }
 
+    /** Price one guest MMIO access (and count it if it traps). */
+    sim::Tick guestMmioCost();
+
     /** Issue one MMIO to the device (absolute device offset). */
     void deviceMmio(bool is_write, std::uint64_t offset,
                     std::uint64_t value,
@@ -421,14 +420,11 @@ class OptimusHv
         std::function<void()> done);
 
     /**
-     * Issue a VCU management sequence. The VCU's staged offset-table
-     * registers are shared state, so concurrent programming (e.g.,
-     * two virtual accelerators being scheduled at once) must be
-     * serialized by the hypervisor.
+     * Issue the next queued VCU management sequence. The VCU's staged
+     * offset-table registers are shared state, so concurrent
+     * programming (e.g., two virtual accelerators being scheduled at
+     * once) must be serialized by the hypervisor.
      */
-    void vcuSeq(
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> writes,
-        std::function<void()> done);
     void drainVcuQueue();
 
     std::uint64_t accelRegOffset(std::uint32_t slot,
@@ -443,14 +439,56 @@ class OptimusHv
     void resetSlot(std::uint32_t slot_idx);
     /** Raise ERR_STATUS bits on @p v (guest-visible, per-tenant). */
     void noteError(VirtualAccel &v, std::uint64_t bits);
+    /** Emit a trace record attributed to @p v (addr = its id). */
+    void traceVaccel(sim::TraceKind kind, const VirtualAccel &v,
+                     std::uint64_t arg, sim::Tick start = 0);
     /** Account a preemption: occupancy, counters, trace record. */
     void notePreempted(std::uint32_t slot_idx, VirtualAccel &v);
-    void scheduleVaccel(Slot &slot, VirtualAccel &v,
-                        std::function<void()> done);
+    /** Reset the slot's device, program @p v's offset entry, replay
+     *  its registers and its OnSchedule kick, and re-arm its ring. */
+    void scheduleVaccel(VirtualAccel &v, std::function<void()> done);
     void armSliceTimer(std::uint32_t slot_idx);
     void sliceExpired(std::uint32_t slot_idx, std::uint64_t epoch);
     VirtualAccel *pickNext(Slot &slot);
-    void performSwitch(std::uint32_t slot_idx, VirtualAccel *to);
+    /** Cede the slot's current tenant (if any), then schedule @p to;
+     *  @p switched runs once @p to holds the slot. */
+    void performSwitch(std::uint32_t slot_idx, VirtualAccel *to,
+                       std::function<void()> switched = [] {});
+    /** Schedule @p v onto the (already ceded) slot; it owns the slot
+     *  once @p switched runs. */
+    void switchIn(std::uint32_t slot_idx, VirtualAccel &v,
+                  std::function<void()> switched);
+    /**
+     * Take the slot from its scheduled tenant: PREEMPT, and on the
+     * SAVED doorbell record the saved context (unless a START
+     * superseded it); if the device does not cede within
+     * preemptTimeout — or cannot, having no state buffer — force-reset
+     * it instead. Either way @p then runs once the device is free.
+     * @p exporting leaves the ring error completions of a forced
+     * reset to importContext(): the memory image has left by the time
+     * a post here would land.
+     */
+    void cede(std::uint32_t slot_idx, bool exporting,
+              std::function<void()> then);
+    /** Fail @p v's job with kForcedReset (its ring errors posted
+     *  unless @p exporting, as for cede()), reset the slot's device,
+     *  then run @p then. */
+    void forceReset(std::uint32_t slot_idx, VirtualAccel &v,
+                    bool exporting, std::function<void()> then);
+    /** Write the VCU reset table for one slot, then run @p then. */
+    void resetDevice(std::uint32_t slot_idx, std::function<void()> then);
+    /** The slot is empty: hand it to the next eligible tenant. */
+    void vacate(std::uint32_t slot_idx);
+    /** @p v became runnable while descheduled: claim its slot if it
+     *  sits vacant (a dormant slice timer would never fire), else
+     *  wait for the next slice. @p switched runs once @p v holds the
+     *  slot, or at once if it waits. */
+    void claimSlot(VirtualAccel &v,
+                   std::function<void()> switched = [] {});
+    /** Move @p v's ownership from its slot's tenant list to @p dst. */
+    void relink(VirtualAccel &v, std::uint32_t dst_idx);
+    void importContext(VirtualAccel &v, const VaccelContext &ctx,
+                       std::function<void()> switched);
     void onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a);
     sim::Tick sliceFor(const Slot &slot, const VirtualAccel &v) const;
     std::uint64_t sliceStride() const;
@@ -460,6 +498,9 @@ class OptimusHv
      *  (at doorbells, while @p v still owns the device). */
     void syncRingFromDevice(VirtualAccel &v,
                             const accel::Accelerator &a);
+    /** Account ring completions [@p from, @p to) of @p v. */
+    void noteRingCompletes(VirtualAccel &v, std::uint64_t from,
+                           std::uint64_t to);
     /** Deliver error completions for every submitted-but-uncompleted
      *  ring entry of @p v (quarantine, forced reset, migration
      *  timeout), carrying its ERR_STATUS bits. */

@@ -165,9 +165,10 @@ ServicePlane::admit(Tenant &t, int user)
 void
 ServicePlane::scheduleOpenArrival(Tenant &t)
 {
-    sim::Tick at = t._epoch + t._gen->nextOffset();
+    sim::Tick at = t._epoch + t._gen->peekOffset();
     if (at >= _horizon)
-        return;
+        return; // stays with the generator: it opens the next window
+    t._gen->nextOffset();
     _sys.eq.scheduleAt(at, [this, &t]() { onOpenArrival(t); });
 }
 
@@ -211,10 +212,16 @@ ServicePlane::onClosedArrival(Tenant &t, int user)
 void
 ServicePlane::beginWindow(sim::Tick window)
 {
-    _horizon = _sys.eq.now() + window;
+    // A later window continues each open-loop stream where the last
+    // one stopped: epochs move on by the drain gap since the previous
+    // horizon, so the arrival held past that horizon opens this one.
+    const sim::Tick now = _sys.eq.now();
+    const bool first = _horizon == 0;
+    const sim::Tick gap = now > _horizon ? now - _horizon : 0;
+    _horizon = now + window;
     for (auto &tp : _tenants) {
         Tenant &t = *tp;
-        t._epoch = _sys.eq.now();
+        t._epoch = first ? now : t._epoch + gap;
         if (t._mode != Tenant::Mode::kActive)
             continue; // inactive fleet binding: its stream (and its
                       // users) live on whichever node is active

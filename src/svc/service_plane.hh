@@ -239,7 +239,9 @@ class ServicePlane
 
     /**
      * Generate and serve traffic for @p window ticks, then drain.
-     * Callable repeatedly; each call opens a fresh arrival window.
+     * Callable repeatedly; each call opens a fresh arrival window in
+     * which open-loop streams continue where the last window stopped
+     * (the drain gap between windows is skipped).
      */
     void run(sim::Tick window);
 

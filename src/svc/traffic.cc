@@ -77,6 +77,22 @@ ArrivalGen::expGap(double mean_ticks)
 sim::Tick
 ArrivalGen::nextOffset()
 {
+    sim::Tick t = peekOffset();
+    _peeked.reset();
+    return t;
+}
+
+sim::Tick
+ArrivalGen::peekOffset()
+{
+    if (!_peeked)
+        _peeked = draw();
+    return *_peeked;
+}
+
+sim::Tick
+ArrivalGen::draw()
+{
     switch (_spec.kind) {
       case ArrivalKind::kFixed:
         _clock += _fixedGap;

@@ -10,6 +10,7 @@
 #define OPTIMUS_SVC_TRAFFIC_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -63,16 +64,22 @@ class ArrivalGen
 
     /** Offset of the next arrival, in ticks since the epoch. */
     sim::Tick nextOffset();
+    /** The offset nextOffset() returns next, without taking it: an
+     *  arrival past one window's horizon opens the next window. */
+    sim::Tick peekOffset();
 
     const ArrivalSpec &spec() const { return _spec; }
 
   private:
     /** One exponential gap with the given mean, in ticks (>= 1). */
     sim::Tick expGap(double mean_ticks);
+    /** Advance the process by one arrival. */
+    sim::Tick draw();
 
     ArrivalSpec _spec;
     sim::Rng _rng;
     sim::Tick _clock = 0;   ///< wall-time offset of the last arrival
+    std::optional<sim::Tick> _peeked; ///< drawn, not yet taken
     sim::Tick _onClock = 0; ///< bursty: accumulated ON-time
     sim::Tick _fixedGap = 1;
     sim::Tick _onPerPeriod = 1; ///< bursty: ON ticks per period

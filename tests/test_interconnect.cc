@@ -9,12 +9,9 @@
 
 #include <vector>
 
-#include <sstream>
-
 #include "ccip/channel_selector.hh"
 #include "ccip/link.hh"
 #include "ccip/shell.hh"
-#include "ccip/trace.hh"
 #include "iommu/iommu.hh"
 #include "mem/host_memory.hh"
 #include "mem/memory_controller.hh"
@@ -279,10 +276,11 @@ class TracedShellFixture : public ::testing::Test
     std::vector<DmaTxnPtr> responses;
 };
 
-TEST_F(TracedShellFixture, TraceWriterRecordsCompletedTransactions)
+TEST_F(TracedShellFixture, CollectSinkRecordsCompletedTransactions)
 {
-    std::ostringstream os;
-    ccip::TraceWriter trace(os, bus);
+    sim::CollectSink collector;
+    bus.attach(&collector,
+               sim::traceMask(sim::TraceKind::kDmaComplete));
 
     auto w = makeTxn(true, 0x40);
     shell.fromAfu(w);
@@ -290,36 +288,49 @@ TEST_F(TracedShellFixture, TraceWriterRecordsCompletedTransactions)
     shell.fromAfu(bad);
     runAll();
 
-    EXPECT_EQ(trace.rows(), 2u);
-    std::string csv = os.str();
-    EXPECT_NE(csv.find("complete_ns,issue_ns,rw,tag,iova"),
-              std::string::npos);
-    EXPECT_NE(csv.find(",W,"), std::string::npos);
-    EXPECT_NE(csv.find(",1\n"), std::string::npos); // error row
+    ASSERT_EQ(collector.records().size(), 2u);
+    const sim::TraceRecord *write = nullptr;
+    const sim::TraceRecord *fault = nullptr;
+    for (const sim::TraceRecord &r : collector.records()) {
+        EXPECT_EQ(r.kind, sim::TraceKind::kDmaComplete);
+        (r.addr == 0x40u ? write : fault) = &r;
+    }
+    ASSERT_NE(write, nullptr);
+    ASSERT_NE(fault, nullptr);
+    EXPECT_TRUE(write->flags & sim::kTraceWrite);
+    EXPECT_FALSE(write->flags & sim::kTraceError);
+    EXPECT_EQ(write->arg, 64u); // bytes
+    EXPECT_LE(write->start, write->at);
+    EXPECT_EQ(fault->addr, 0x4000000000ULL);
+    EXPECT_FALSE(fault->flags & sim::kTraceWrite);
+    EXPECT_TRUE(fault->flags & sim::kTraceError); // error row
+
+    bus.detach(&collector);
 }
 
 TEST_F(TracedShellFixture, TwoSinksBothObserveTheSameTransaction)
 {
     // Regression for the old Shell::setTracer single-slot design,
     // where attaching a second tracer silently evicted the first.
-    std::ostringstream os;
-    ccip::TraceWriter writer(os, bus);
-    sim::CollectSink collector;
-    bus.attach(&collector,
-               sim::traceMask(sim::TraceKind::kDmaComplete));
+    sim::CollectSink first;
+    sim::CollectSink second;
+    bus.attach(&first, sim::traceMask(sim::TraceKind::kDmaComplete));
+    bus.attach(&second, sim::traceMask(sim::TraceKind::kDmaComplete));
 
     auto w = makeTxn(true, 0x80);
     shell.fromAfu(w);
     runAll();
 
-    EXPECT_EQ(writer.rows(), 1u);
-    ASSERT_EQ(collector.records().size(), 1u);
-    const sim::TraceRecord &r = collector.records()[0];
-    EXPECT_EQ(r.kind, sim::TraceKind::kDmaComplete);
-    EXPECT_EQ(r.addr, 0x80u);
-    EXPECT_NE(os.str().find(",W,"), std::string::npos);
+    for (const sim::CollectSink *c : {&first, &second}) {
+        ASSERT_EQ(c->records().size(), 1u);
+        const sim::TraceRecord &r = c->records()[0];
+        EXPECT_EQ(r.kind, sim::TraceKind::kDmaComplete);
+        EXPECT_EQ(r.addr, 0x80u);
+        EXPECT_TRUE(r.flags & sim::kTraceWrite);
+    }
 
-    bus.detach(&collector);
+    bus.detach(&second);
+    bus.detach(&first);
 }
 
 } // namespace

@@ -144,4 +144,43 @@ TEST(MigrationTest, LoadBalancingAcrossSlots)
     EXPECT_EQ(sys.hv.migrations(), 2u);
 }
 
+TEST(MigrationTest, PreemptTimeoutStillAnswers)
+{
+    // A device that cannot cede (its pipeline wedged mid-job) times
+    // out the preempt: the migration still answers, and the vaccel
+    // lands on the destination in kError with the kForcedReset bit —
+    // from where a fresh START reruns the job.
+    System sys(makeOptimusConfig("LL", 2));
+    AccelHandle &h = sys.attach(0, 1ULL << 30);
+    auto layout = workload::buildLinkedList(h, 60000, 35);
+    h.writeAppReg(accel::LinkedlistAccel::kRegHead,
+                  layout.head.value());
+    h.writeAppReg(accel::LinkedlistAccel::kRegCount, 0);
+    h.setupStateBuffer();
+    h.start();
+    sys.run(sys.eq.now() + 2 * sim::kTickMs);
+    ASSERT_EQ(sys.hv.peekStatus(h.vaccel()), accel::Status::kRunning);
+    sys.platform.accel(0).wedge();
+
+    int answers = 0;
+    bool ok = false;
+    sys.hv.migrate(h.vaccel(), 1, [&](bool r) {
+        ++answers;
+        ok = r;
+    });
+    sys.run(sys.eq.now() + 20 * sim::kTickMs);
+
+    EXPECT_EQ(answers, 1);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(h.vaccel().slot(), 1u);
+    EXPECT_EQ(sys.hv.forcedResets(), 1u);
+    EXPECT_EQ(sys.hv.peekStatus(h.vaccel()), accel::Status::kError);
+    EXPECT_NE(h.errorStatus() & accel::errst::kForcedReset, 0u);
+
+    h.start();
+    EXPECT_EQ(h.wait(), accel::Status::kDone);
+    EXPECT_EQ(h.result(), layout.checksum);
+    EXPECT_EQ(h.errorStatus(), 0u);
+}
+
 } // namespace

@@ -190,4 +190,81 @@ TEST(PreemptionTest, SixteenTenantsAllComplete)
     EXPECT_EQ(sys.hv.forcedResets(), 0u);
 }
 
+/**
+ * A START that traps while its vaccel is being switched out — after
+ * the PREEMPT, before the SAVED doorbell — must run the new job. The
+ * saved context belongs to the finished job, and START discards it:
+ * resuming it instead would report DONE with the old job's result
+ * and never run the new one. Tenant A finishes job 1 and has job 2
+ * (a different input) programmed; tenant B's START makes the slice
+ * timer switch A out; A's START lands at every 20 ns step from the
+ * start of the switch. Fresh inputs per job make verify() the oracle.
+ */
+class LostStartTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(LostStartTest, StartDuringSwitchOutRunsTheNewJob)
+{
+    const std::string app = GetParam();
+    const sim::Tick kStep = 20 * sim::kTickNs;
+    const int kOffsets = 261;
+    int failures = 0;
+    for (int k = 0; k < kOffsets; ++k) {
+        sim::PlatformParams p = sim::PlatformParams::harpDefaults();
+        p.timeSlice = 100 * sim::kTickUs;
+        System sys(makeOptimusConfig(app, 1, p));
+        AccelHandle &a = sys.attach(0, 1ULL << 30);
+        AccelHandle &b = sys.attach(0, 1ULL << 30);
+
+        auto job1 = workload::Workload::create(app, a, 4096, 11);
+        job1->program();
+        a.setupStateBuffer();
+        auto other = workload::Workload::create(app, b, 4096, 33);
+        other->program();
+        b.setupStateBuffer();
+        a.start();
+        ASSERT_EQ(a.wait(), accel::Status::kDone) << app;
+        ASSERT_TRUE(job1->verify()) << app;
+
+        // A different size too, so even MB (whose result is its
+        // line count) tells the jobs apart.
+        auto job2 = workload::Workload::create(app, a, 8192, 22);
+        job2->program();
+        int completions = 0;
+        a.vaccel().setCompletionHandler(
+            [&](accel::Status) { ++completions; });
+
+        // B's START trap lands trapEmulateCost from now and arms the
+        // slice timer: A is switched out one slice later.
+        const sim::Tick switch_at =
+            sys.eq.now() + p.trapEmulateCost + p.timeSlice;
+        sys.hv.mmioWrite(b.vaccel(), accel::reg::kCtrl,
+                         accel::ctrl::kStart);
+        sys.eq.scheduleAt(
+            switch_at + k * kStep - p.trapEmulateCost, [&]() {
+                sys.hv.mmioWrite(a.vaccel(), accel::reg::kCtrl,
+                                 accel::ctrl::kStart);
+            });
+        sys.run(switch_at + 20 * sim::kTickMs);
+
+        const bool ok = completions == 1 &&
+                        sys.hv.peekStatus(a.vaccel()) ==
+                            accel::Status::kDone &&
+                        job2->verify() &&
+                        sys.hv.peekStatus(b.vaccel()) ==
+                            accel::Status::kDone &&
+                        other->verify();
+        if (!ok && ++failures <= 3) {
+            ADD_FAILURE() << app << ": START at switch + "
+                          << k * kStep / sim::kTickNs << " ns: "
+                          << completions << " completion(s)";
+        }
+    }
+    EXPECT_EQ(failures, 0) << app << " of " << kOffsets << " offsets";
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, LostStartTest,
+                         ::testing::Values("SHA", "AES", "MB", "LL"));
+
 } // namespace

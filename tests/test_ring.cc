@@ -485,4 +485,54 @@ TEST(RingTest, ServicePlaneRetriesQuarantinedRingTenant)
     EXPECT_EQ(tb.admitted(), tb.completed() + tb.dropped());
 }
 
+// ---------------------------------------------------------------
+// Ring tenants time-sharing a slot: a ring job that drains to
+// completion under a pending preempt is saved as DONE, and resuming
+// that context must post its completion through the ring — a bare
+// doorbell leaves the guest waiting on the entry forever and the
+// tenant's queue stalls.
+// ---------------------------------------------------------------
+
+TEST(RingTest, RingTenantsSharingASlotCompleteEveryRequest)
+{
+    struct Mix
+    {
+        const char *name;
+        ring::CmdPath first;
+        double ratePerSec;
+    };
+    for (const Mix &mix : {Mix{"ring+ring", ring::CmdPath::kRing,
+                               20000.0},
+                           Mix{"mmio+ring", ring::CmdPath::kMmio,
+                               5000.0}}) {
+        hv::System sys(hv::makeOptimusConfig("SHA", 1));
+        sys.hv.setPolicy(0, hv::SchedPolicy::kRoundRobin,
+                         100 * sim::kTickUs);
+        svc::ServicePlane plane(sys);
+        for (int i = 0; i < 2; ++i) {
+            svc::TenantConfig cfg;
+            cfg.name = "t" + std::to_string(i);
+            cfg.app = "SHA";
+            cfg.bytes = 512;
+            cfg.seed = 11 + static_cast<std::uint64_t>(i);
+            cfg.slot = 0;
+            cfg.arrivals.kind = svc::ArrivalKind::kPoisson;
+            cfg.arrivals.ratePerSec = mix.ratePerSec;
+            cfg.cmdPath = i == 0 ? mix.first : ring::CmdPath::kRing;
+            cfg.batchMax = 1;
+            plane.addTenant(cfg);
+        }
+        plane.run(5 * sim::kTickMs);
+
+        for (std::size_t i = 0; i < plane.numTenants(); ++i) {
+            const svc::Tenant &t = plane.tenant(i);
+            EXPECT_GT(t.admitted(), 0u) << mix.name << " t" << i;
+            EXPECT_EQ(t.admitted(), t.completed() + t.dropped())
+                << mix.name << " t" << i;
+            EXPECT_EQ(t.verifyFailures(), 0u) << mix.name << " t" << i;
+        }
+        EXPECT_GT(sys.hv.contextSwitches(), 0u) << mix.name;
+    }
+}
+
 } // namespace
