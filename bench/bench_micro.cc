@@ -102,6 +102,26 @@ aes128EncryptBlock(const exp::RunContext &ctx)
 }
 
 exp::ResultRow
+aes128EcbLine(const exp::RunContext &ctx)
+{
+    // One 64 B line through encryptEcb: the call the AES accelerator
+    // model makes per DMA line (AES-NI when the CPU has it).
+    algo::Aes128::Key key{};
+    algo::Aes128 aes(key);
+    std::uint8_t line[64];
+    for (std::size_t i = 0; i < sizeof(line); ++i)
+        line[i] = static_cast<std::uint8_t>(i);
+    const std::uint64_t iters = ctx.scaledCount(200000, 1000);
+    exp::WallTimer t;
+    for (std::uint64_t i = 0; i < iters; ++i)
+        aes.encryptEcb(line, sizeof(line));
+    std::uint64_t sum = 0;
+    for (std::uint8_t b : line)
+        sum = sum * 131 + b;
+    return microRow("aes128_ecb_line", iters, sum, t.ms());
+}
+
+exp::ResultRow
 sha256DoubleHash80B(const exp::RunContext &ctx)
 {
     std::uint8_t header[80] = {};
@@ -177,6 +197,7 @@ main(int argc, char **argv)
     r.add("event_queue_schedule_run", eventQueueScheduleRun);
     r.add("iotlb_lookup_hit", iotlbLookupHit);
     r.add("aes128_encrypt_block", aes128EncryptBlock);
+    r.add("aes128_ecb_line", aes128EcbLine);
     r.add("sha256_double_hash_80b", sha256DoubleHash80B);
     for (std::size_t nerr : {std::size_t{0}, std::size_t{4},
                              std::size_t{16}}) {

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <wmmintrin.h>
+#endif
+
 namespace optimus::algo {
 
 namespace {
@@ -41,6 +45,43 @@ xtime(std::uint8_t x)
     return static_cast<std::uint8_t>((x << 1) ^
                                      ((x >> 7) ? 0x1b : 0x00));
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+/**
+ * AES-NI ECB: the FIPS-197 round keys are already in the byte order
+ * AESENC takes, so no second key expansion is needed. Only this
+ * function is compiled for the AES ISA; callers check the CPU first.
+ */
+__attribute__((target("aes,sse2"))) void
+encryptEcbAesNi(const std::uint8_t *round_keys, std::uint8_t *data,
+                std::size_t len)
+{
+    __m128i rk[11];
+    for (int i = 0; i < 11; ++i) {
+        rk[i] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(round_keys + i * 16));
+    }
+    for (std::size_t off = 0; off + 16 <= len; off += 16) {
+        auto *p = reinterpret_cast<__m128i *>(data + off);
+        __m128i s = _mm_xor_si128(_mm_loadu_si128(p), rk[0]);
+        for (int round = 1; round <= 9; ++round)
+            s = _mm_aesenc_si128(s, rk[round]);
+        _mm_storeu_si128(p, _mm_aesenclast_si128(s, rk[10]));
+    }
+}
+
+bool
+cpuHasAesNi()
+{
+    // Function-local so the CPUID probe runs on first use, never
+    // during another translation unit's static initialisation.
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("aes") != 0;
+    }();
+    return has;
+}
+#endif
 
 } // namespace
 
@@ -123,6 +164,12 @@ Aes128::encryptBlock(std::uint8_t *block) const
 void
 Aes128::encryptEcb(std::uint8_t *data, std::size_t len) const
 {
+#if defined(__x86_64__) || defined(__i386__)
+    if (cpuHasAesNi()) {
+        encryptEcbAesNi(_roundKeys.data(), data, len);
+        return;
+    }
+#endif
     for (std::size_t off = 0; off + 16 <= len; off += 16)
         encryptBlock(data + off);
 }

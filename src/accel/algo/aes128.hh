@@ -8,6 +8,7 @@
 #define OPTIMUS_ACCEL_ALGO_AES128_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace optimus::algo {
@@ -21,10 +22,14 @@ class Aes128
 
     explicit Aes128(const Key &key) { expandKey(key); }
 
-    /** Encrypt one 16-byte block in place. */
+    /** Encrypt one 16-byte block in place (portable byte-wise code). */
     void encryptBlock(std::uint8_t *block) const;
 
-    /** Encrypt @p len bytes (must be a multiple of 16) in place. */
+    /**
+     * Encrypt the whole 16-byte blocks of @p len bytes in place; a
+     * shorter tail is left untouched. Uses AES-NI when the CPU has it,
+     * otherwise encryptBlock(); both give identical ciphertext.
+     */
     void encryptEcb(std::uint8_t *data, std::size_t len) const;
 
   private:

@@ -114,16 +114,19 @@ Md5::update(const void *data, std::size_t len)
 Md5::Digest
 Md5::finish()
 {
+    // Padding: 0x80, zeros up to byte 56 of a block (spilling into a
+    // second block if fewer than 9 bytes are left), then the length.
     std::uint64_t bit_len = _totalLen * 8;
-    std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    std::uint8_t zero = 0;
-    while (_bufLen != 56)
-        update(&zero, 1);
-    std::uint8_t len_le[8];
+    _buf[_bufLen++] = 0x80;
+    if (_bufLen > 56) {
+        std::memset(_buf + _bufLen, 0, 64 - _bufLen);
+        processBlock(_buf);
+        _bufLen = 0;
+    }
+    std::memset(_buf + _bufLen, 0, 56 - _bufLen);
     for (int i = 0; i < 8; ++i)
-        len_le[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-    update(len_le, 8);
+        _buf[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+    processBlock(_buf);
 
     Digest d;
     for (int i = 0; i < 4; ++i) {

@@ -170,16 +170,19 @@ Sha256::update(const void *data, std::size_t len)
 Sha256::Digest
 Sha256::finish()
 {
+    // Padding: 0x80, zeros up to byte 56 of a block (spilling into a
+    // second block if fewer than 9 bytes are left), then the length.
     std::uint64_t bit_len = _totalLen * 8;
-    std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    std::uint8_t zero = 0;
-    while (_bufLen != 56)
-        update(&zero, 1);
-    std::uint8_t len_be[8];
+    _buf[_bufLen++] = 0x80;
+    if (_bufLen > 56) {
+        std::memset(_buf + _bufLen, 0, 64 - _bufLen);
+        processBlock(_buf);
+        _bufLen = 0;
+    }
+    std::memset(_buf + _bufLen, 0, 56 - _bufLen);
     for (int i = 0; i < 8; ++i)
-        len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_be, 8);
+        _buf[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    processBlock(_buf);
 
     Digest d;
     for (int i = 0; i < 8; ++i) {
@@ -302,20 +305,21 @@ Sha512::update(const void *data, std::size_t len)
 Sha512::Digest
 Sha512::finish()
 {
+    // Padding: 0x80, zeros up to byte 112 of a block (spilling into a
+    // second block if fewer than 17 bytes are left), then a 128-bit
+    // big-endian length whose high 64 bits are zero for any simulated
+    // input size.
     std::uint64_t bit_len = _totalLen * 8;
-    std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    std::uint8_t zero = 0;
-    while (_bufLen != 112)
-        update(&zero, 1);
-    // 128-bit big-endian length; the high 64 bits are zero for any
-    // simulated input size.
-    std::uint8_t len_be[16] = {};
-    for (int i = 0; i < 8; ++i) {
-        len_be[8 + i] =
-            static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    _buf[_bufLen++] = 0x80;
+    if (_bufLen > 112) {
+        std::memset(_buf + _bufLen, 0, 128 - _bufLen);
+        processBlock(_buf);
+        _bufLen = 0;
     }
-    update(len_be, 16);
+    std::memset(_buf + _bufLen, 0, 120 - _bufLen);
+    for (int i = 0; i < 8; ++i)
+        _buf[120 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    processBlock(_buf);
 
     Digest d;
     for (int i = 0; i < 8; ++i) {

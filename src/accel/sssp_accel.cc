@@ -307,10 +307,16 @@ SsspAccel::saveArchState() const
     std::vector<std::uint8_t> blob(32 + 4 * (rem + _next.size()));
     std::uint64_t hdr[4] = {rem, _next.size(), _relaxations, _rounds};
     std::memcpy(blob.data(), hdr, sizeof(hdr));
-    std::memcpy(blob.data() + 32, _frontier.data() + _frontierPos,
-                4 * rem);
-    std::memcpy(blob.data() + 32 + 4 * rem, _next.data(),
-                4 * _next.size());
+    // Either set may be empty, with a null data(): copy only real
+    // elements (memcpy from or to null is undefined even for 0 bytes).
+    if (rem > 0) {
+        std::memcpy(blob.data() + 32, _frontier.data() + _frontierPos,
+                    4 * rem);
+    }
+    if (!_next.empty()) {
+        std::memcpy(blob.data() + 32 + 4 * rem, _next.data(),
+                    4 * _next.size());
+    }
     return blob;
 }
 
@@ -328,9 +334,12 @@ SsspAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
 
     _frontier.assign(hdr[0], 0);
     _next.assign(hdr[1], 0);
-    std::memcpy(_frontier.data(), blob.data() + 32, 4 * hdr[0]);
-    std::memcpy(_next.data(), blob.data() + 32 + 4 * hdr[0],
-                4 * hdr[1]);
+    if (!_frontier.empty())
+        std::memcpy(_frontier.data(), blob.data() + 32, 4 * hdr[0]);
+    if (!_next.empty()) {
+        std::memcpy(_next.data(), blob.data() + 32 + 4 * hdr[0],
+                    4 * hdr[1]);
+    }
     _relaxations = hdr[2];
     _rounds = hdr[3];
     _frontierPos = 0;

@@ -168,7 +168,12 @@ StreamingAccelerator::saveArchState() const
     std::uint64_t tlen = transform.size();
     std::memcpy(blob.data(), &pos, 8);
     std::memcpy(blob.data() + 8, &tlen, 8);
-    std::memcpy(blob.data() + 16, transform.data(), transform.size());
+    // Stateless transforms (AES) have an empty state whose data() may
+    // be null, and memcpy from a null pointer is undefined even for 0.
+    if (!transform.empty()) {
+        std::memcpy(blob.data() + 16, transform.data(),
+                    transform.size());
+    }
     return blob;
 }
 
