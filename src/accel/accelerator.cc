@@ -9,6 +9,11 @@
 
 namespace optimus::accel {
 
+namespace {
+/** The saved-state header: {status, result, progress} (DESIGN.md §5). */
+constexpr std::uint64_t kStateHeaderBytes = 3 * sizeof(std::uint64_t);
+} // namespace
+
 Accelerator::Accelerator(sim::EventQueue &eq,
                          const sim::PlatformParams &params,
                          std::string name, std::uint64_t freq_mhz,
@@ -35,8 +40,7 @@ Accelerator::Accelerator(sim::EventQueue &eq,
 std::uint64_t
 Accelerator::stateSizeBytes() const
 {
-    std::uint64_t base = 3 * sizeof(std::uint64_t) +
-                         archStateCapacity();
+    std::uint64_t base = kStateHeaderBytes + archStateCapacity();
     return std::max(base, _syntheticStateBytes);
 }
 
@@ -63,11 +67,11 @@ Accelerator::checkpoint() const
     ck.progress = _progress;
     ck.stateBuf = _stateBuf;
     ck.appRegs = _appRegs;
-    ck.arch = saveArchState();
+    sim::StateWriter arch;
+    saveArchState(arch);
+    ck.arch = arch.take();
     ck.ringArmed = _ringArmed;
-    ck.ringCfg.base = _ringBase;
-    ck.ringCfg.entries = _ringEntries;
-    ck.ringCfg.state = _ringState;
+    ck.ringCfg = _ring;
     return ck;
 }
 
@@ -86,29 +90,33 @@ Accelerator::restore(const Checkpoint &ck)
     _appRegs = ck.appRegs;
     _result = ck.result;
     _progress = ck.progress;
-    restoreArchState(ck.arch);
+    sim::StateReader arch(ck.arch);
+    restoreArchState(arch);
     _ringArmed = ck.ringArmed;
-    _ringBase = ck.ringCfg.base;
-    _ringEntries = ck.ringCfg.entries;
-    _ringState = ck.ringCfg.state;
+    _ring = ck.ringCfg;
     _ringFetchInFlight = false;
     _ringPollPending = false;
-    _status = ck.status;
-    if (ck.status == Status::kRunning) {
+    adoptJob(arch.ok() ? ck.status : Status::kError);
+    if (_ringArmed && !_ring.state.jobActive)
+        ringWake();
+}
+
+void
+Accelerator::adoptJob(Status st)
+{
+    _status = st;
+    if (st == Status::kRunning) {
         onResumed();
-    } else if (ck.status == Status::kDone ||
-               ck.status == Status::kError) {
+    } else if (st == Status::kDone || st == Status::kError) {
         // A job that drained to completion under a pending preempt
         // never posted its completion; deliver it through the ring
-        // it was submitted on. Already-posted jobs take the plain
-        // doorbell, exactly as before.
-        if (_ringArmed && _ringState.jobActive)
-            ringPostCompletion(ck.status);
+        // it was submitted on (re-armed by the hypervisor).
+        // Already-posted jobs take the plain doorbell.
+        if (_ringArmed && _ring.state.jobActive)
+            ringPostCompletion(st);
         else
             raiseDoorbell();
     }
-    if (_ringArmed && !_ringState.jobActive)
-        ringWake();
 }
 
 std::uint64_t
@@ -218,9 +226,7 @@ Accelerator::hardReset()
     _mmioWedged = false;
     _appRegs.fill(0);
     _ringArmed = false;
-    _ringBase = mem::Gva{};
-    _ringEntries = 0;
-    _ringState = ring::DeviceState{};
+    _ring = ring::DeviceConfig{};
     _ringFetchInFlight = false;
     _ringPollPending = false;
     onSoftReset();
@@ -256,7 +262,7 @@ Accelerator::finish(std::uint64_t result)
         return;
     }
     _status = Status::kDone;
-    if (_ringArmed && _ringState.jobActive)
+    if (_ringArmed && _ring.state.jobActive)
         ringPostCompletion(Status::kDone);
     else
         raiseDoorbell();
@@ -305,18 +311,15 @@ Accelerator::beginPreempt()
             to_save = Status::kDone;
         _savedJobStatus = to_save;
 
-        std::vector<std::uint8_t> blob(stateSizeBytes(), 0);
-        std::uint64_t header[3] = {
-            static_cast<std::uint64_t>(to_save), _result, _progress};
-        std::memcpy(blob.data(), header, sizeof(header));
-        std::vector<std::uint8_t> arch = saveArchState();
-        OPTIMUS_ASSERT(arch.size() <= archStateCapacity(),
+        sim::StateWriter w;
+        w.put(to_save).put(_result).put(_progress);
+        saveArchState(w);
+        std::vector<std::uint8_t> blob = w.take();
+        OPTIMUS_ASSERT(blob.size() <= kStateHeaderBytes +
+                                          archStateCapacity(),
                        "%s arch state exceeds declared capacity",
                        _name.c_str());
-        if (!arch.empty()) {
-            std::memcpy(blob.data() + sizeof(header), arch.data(),
-                        arch.size());
-        }
+        blob.resize(stateSizeBytes(), 0);
 
         transferStateBlob(true, std::move(blob),
                           [this](std::vector<std::uint8_t>) {
@@ -338,29 +341,18 @@ Accelerator::beginResume()
         false, std::vector<std::uint8_t>(stateSizeBytes(), 0),
         [this](std::vector<std::uint8_t> blob) {
             // The guest blob is a serialized Checkpoint minus the
-            // hypervisor-cached registers (see checkpoint()).
-            std::uint64_t header[3];
-            std::memcpy(header, blob.data(), sizeof(header));
-            _result = header[1];
-            _progress = header[2];
-            std::vector<std::uint8_t> arch(
-                blob.begin() + sizeof(header), blob.end());
-            restoreArchState(arch);
-
-            auto saved = static_cast<Status>(header[0]);
-            _status = saved;
-            if (saved == Status::kRunning) {
-                onResumed();
-            } else if (saved == Status::kDone ||
-                       saved == Status::kError) {
-                // As in restore(): a ring job that drained to
-                // completion under the preempt never posted; post it
-                // now, through the ring the hypervisor re-armed.
-                if (_ringArmed && _ringState.jobActive)
-                    ringPostCompletion(saved);
-                else
-                    raiseDoorbell();
-            }
+            // hypervisor-cached registers (see checkpoint()). It sat
+            // in guest memory, so a malformed one — a status no
+            // preempt saves, or arch fields failing their checks —
+            // fails the job rather than resuming it.
+            sim::StateReader r(blob);
+            Status saved = Status::kError;
+            r.get(saved).get(_result).get(_progress);
+            r.check(saved == Status::kIdle ||
+                    saved == Status::kRunning ||
+                    saved == Status::kDone || saved == Status::kError);
+            restoreArchState(r);
+            adoptJob(r.ok() ? saved : Status::kError);
         });
 }
 
@@ -436,21 +428,11 @@ Accelerator::armRing(const ring::DeviceConfig &cfg)
     OPTIMUS_ASSERT(cfg.entries > 0, "%s: armRing with empty ring",
                    _name.c_str());
     _ringArmed = true;
-    _ringBase = cfg.base;
-    _ringEntries = cfg.entries;
-    _ringState = cfg.state;
+    _ring = cfg;
     _ringFetchInFlight = false;
     _ringPollPending = false;
-    if (!_ringState.jobActive)
+    if (!_ring.state.jobActive)
         ringWake();
-}
-
-void
-Accelerator::disarmRing()
-{
-    _ringArmed = false;
-    _ringFetchInFlight = false;
-    _ringPollPending = false;
 }
 
 void
@@ -458,9 +440,9 @@ Accelerator::ringNotify(std::uint64_t prod_seq)
 {
     if (!_ringArmed)
         return;
-    if (prod_seq > _ringState.prodSeq)
-        _ringState.prodSeq = prod_seq;
-    if (!_ringState.jobActive)
+    if (prod_seq > _ring.state.prodSeq)
+        _ring.state.prodSeq = prod_seq;
+    if (!_ring.state.jobActive)
         ringWake();
 }
 
@@ -482,17 +464,17 @@ Accelerator::ringTryFetch()
 {
     if (!_ringArmed || _wedged || _ringFetchInFlight)
         return;
-    if (_ringState.jobActive ||
-        _ringState.nextSeq >= _ringState.prodSeq)
+    if (_ring.state.jobActive ||
+        _ring.state.nextSeq >= _ring.state.prodSeq)
         return;
     if (_status != Status::kIdle && _status != Status::kDone &&
         _status != Status::kError)
         return;
 
     _ringFetchInFlight = true;
-    std::uint64_t seq = _ringState.nextSeq;
-    mem::Gva slot(_ringBase.value() +
-                  ring::submitSlotOff(_ringEntries, seq));
+    std::uint64_t seq = _ring.state.nextSeq;
+    mem::Gva slot(_ring.base.value() +
+                  ring::submitSlotOff(_ring.entries, seq));
     std::uint64_t epoch = _epoch;
     _dma.read(slot, sizeof(ring::SubmitEntry),
               [this, epoch, seq](ccip::DmaTxn &t) {
@@ -503,8 +485,8 @@ Accelerator::ringTryFetch()
                   // without consuming; the re-armed poller fetches
                   // this entry again.
                   if (!_ringArmed || _wedged ||
-                      _ringState.jobActive ||
-                      seq != _ringState.nextSeq)
+                      _ring.state.jobActive ||
+                      seq != _ring.state.nextSeq)
                       return;
                   if (_status != Status::kIdle &&
                       _status != Status::kDone &&
@@ -529,11 +511,11 @@ Accelerator::ringTryFetch()
                   // the device-owned submit.cons line (fire and
                   // forget), and run the job exactly as a START
                   // doorbell would have.
-                  _ringState.nextSeq = seq + 1;
-                  _ringState.jobActive = true;
-                  _ringState.jobSeq = seq;
-                  std::uint64_t ack = _ringState.nextSeq;
-                  _dma.write(mem::Gva(_ringBase.value() +
+                  _ring.state.nextSeq = seq + 1;
+                  _ring.state.jobActive = true;
+                  _ring.state.jobSeq = seq;
+                  std::uint64_t ack = _ring.state.nextSeq;
+                  _dma.write(mem::Gva(_ring.base.value() +
                                       ring::headerOff(
                                           ring::kSubmitConsLine)),
                              &ack, sizeof(ack), {});
@@ -548,11 +530,11 @@ Accelerator::ringTryFetch()
 void
 Accelerator::ringPostCompletion(Status st)
 {
-    OPTIMUS_ASSERT(_ringArmed && _ringState.jobActive,
+    OPTIMUS_ASSERT(_ringArmed && _ring.state.jobActive,
                    "%s: ring post without an in-flight ring job",
                    _name.c_str());
     ring::CompleteEntry ce;
-    ce.seq = _ringState.jobSeq;
+    ce.seq = _ring.state.jobSeq;
     ce.status = static_cast<std::uint64_t>(st);
     ce.result = _result;
     ce.progress = _progress;
@@ -564,23 +546,23 @@ Accelerator::ringPostCompletion(Status st)
     // completion keeps the port non-idle, so a concurrent preempt's
     // drain cannot fire between the two stores.
     std::uint64_t epoch = _epoch;
-    mem::Gva slot(_ringBase.value() +
-                  ring::completeSlotOff(_ringEntries, ce.seq));
+    mem::Gva slot(_ring.base.value() +
+                  ring::completeSlotOff(_ring.entries, ce.seq));
     _dma.write(slot, &ce, sizeof(ce), [this, epoch](ccip::DmaTxn &) {
         if (epoch != _epoch)
             return;
-        std::uint64_t prod = _ringState.jobSeq + 1;
-        _ringState.compSeq = prod;
-        _dma.write(mem::Gva(_ringBase.value() +
+        std::uint64_t prod = _ring.state.jobSeq + 1;
+        _ring.state.compSeq = prod;
+        _dma.write(mem::Gva(_ring.base.value() +
                             ring::headerOff(ring::kCompleteProdLine)),
                    &prod, sizeof(prod),
                    [this, epoch](ccip::DmaTxn &) {
                        if (epoch != _epoch)
                            return;
-                       _ringState.jobActive = false;
+                       _ring.state.jobActive = false;
                        ++_ringPosts;
                        if (_ringArmed &&
-                           _ringState.nextSeq < _ringState.prodSeq) {
+                           _ring.state.nextSeq < _ring.state.prodSeq) {
                            ringWake();
                        } else if (_status == Status::kDone ||
                                   _status == Status::kError) {

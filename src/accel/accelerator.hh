@@ -27,6 +27,7 @@
 #include "ring/ring.hh"
 #include "sim/clocked.hh"
 #include "sim/platform_params.hh"
+#include "sim/state_codec.hh"
 #include "sim/stats.hh"
 
 namespace optimus::accel {
@@ -152,13 +153,9 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
      * job's completion in place. The hypervisor calls this when it
      * schedules a ring-path vaccel onto this slot, passing its
      * mirrored cursors, so preemption and migration re-arm the poller
-     * exactly where it stopped.
+     * exactly where it stopped. Only hardReset() disarms it.
      */
     void armRing(const ring::DeviceConfig &cfg);
-
-    /** Detach the poller (hardReset() also disarms). Cursor state
-     *  stays readable for mirror syncs until the next armRing(). */
-    void disarmRing();
 
     /**
      * Publish notification from the hypervisor (the simulation's
@@ -169,11 +166,7 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     void ringNotify(std::uint64_t prod_seq);
 
     bool ringArmed() const { return _ringArmed; }
-    const ring::DeviceState &ringState() const { return _ringState; }
-
-    std::uint64_t ringPolls() const { return _ringPolls.value(); }
-    std::uint64_t ringFetches() const { return _ringFetches.value(); }
-    std::uint64_t ringPosts() const { return _ringPosts.value(); }
+    const ring::DeviceState &ringState() const { return _ring.state; }
 
   protected:
     /** Begin the configured job (app registers hold parameters). */
@@ -191,15 +184,18 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     }
 
     /**
-     * Serialize the minimal architectural state needed to resume the
-     * job (the linked-list walker saves little more than the next
-     * node pointer, per the paper's design discussion).
+     * Write the minimal architectural state needed to resume the job
+     * (the linked-list walker saves little more than the next node
+     * pointer, per the paper's design discussion).
      */
-    virtual std::vector<std::uint8_t> saveArchState() const = 0;
+    virtual void saveArchState(sim::StateWriter &w) const = 0;
 
-    /** Inverse of saveArchState(). */
-    virtual void restoreArchState(
-        const std::vector<std::uint8_t> &blob) = 0;
+    /**
+     * Inverse of saveArchState(). The fields come from guest memory:
+     * check() every value later used as an index; a failed @p r ends
+     * the job in kError instead of resuming it.
+     */
+    virtual void restoreArchState(sim::StateReader &r) = 0;
 
     /** Continue execution after a restore that left us RUNNING. */
     virtual void onResumed() = 0;
@@ -249,6 +245,9 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     void command(std::uint64_t bits);
     void beginPreempt();
     void beginResume();
+    /** Take over a restored job in status @p st: continue it, or
+     *  deliver its completion by ring post or doorbell. */
+    void adoptJob(Status st);
     void transferStateBlob(bool save,
                            std::vector<std::uint8_t> blob,
                            std::function<void(std::vector<
@@ -285,9 +284,7 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     std::uint32_t _ringPollCycles;
 
     bool _ringArmed = false;
-    mem::Gva _ringBase{};
-    std::uint32_t _ringEntries = 0;
-    ring::DeviceState _ringState{};
+    ring::DeviceConfig _ring{};
     bool _ringFetchInFlight = false;
     bool _ringPollPending = false;
 

@@ -10,7 +10,8 @@
 #include <array>
 #include <cstdint>
 #include <cstddef>
-#include <vector>
+
+#include "sim/state_codec.hh"
 
 namespace optimus::algo {
 
@@ -29,9 +30,9 @@ class Md5
     /** One-shot convenience. */
     static Digest hash(const void *data, std::size_t len);
 
-    /** Serialize internal state (for accelerator preemption). */
-    std::vector<std::uint8_t> serialize() const;
-    void deserialize(const std::vector<std::uint8_t> &blob);
+    /** Save or restore internal state (accelerator preemption). */
+    void serialize(sim::StateWriter &w) const;
+    void deserialize(sim::StateReader &r);
 
   private:
     void processBlock(const std::uint8_t *block);

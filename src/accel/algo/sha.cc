@@ -340,35 +340,20 @@ Sha512::hash(const void *data, std::size_t len)
     return s.finish();
 }
 
-std::vector<std::uint8_t>
-Sha512::serialize() const
+void
+Sha512::serialize(sim::StateWriter &w) const
 {
-    std::vector<std::uint8_t> blob(sizeof(_h) + 8 + 8 + 128);
-    std::uint8_t *p = blob.data();
-    std::memcpy(p, _h, sizeof(_h));
-    p += sizeof(_h);
-    std::memcpy(p, &_totalLen, 8);
-    p += 8;
-    std::uint64_t buf_len = _bufLen;
-    std::memcpy(p, &buf_len, 8);
-    p += 8;
-    std::memcpy(p, _buf, 128);
-    return blob;
+    w.put(_h).put(_totalLen).put(std::uint64_t{_bufLen}).put(_buf);
 }
 
 void
-Sha512::deserialize(const std::vector<std::uint8_t> &blob)
+Sha512::deserialize(sim::StateReader &r)
 {
-    const std::uint8_t *p = blob.data();
-    std::memcpy(_h, p, sizeof(_h));
-    p += sizeof(_h);
-    std::memcpy(&_totalLen, p, 8);
-    p += 8;
     std::uint64_t buf_len = 0;
-    std::memcpy(&buf_len, p, 8);
-    p += 8;
-    _bufLen = static_cast<std::size_t>(buf_len);
-    std::memcpy(_buf, p, 128);
+    r.get(_h).get(_totalLen).get(buf_len).get(_buf);
+    // A full buffer is always processed, so the fill stays below it.
+    if (r.check(buf_len < sizeof(_buf)))
+        _bufLen = static_cast<std::size_t>(buf_len);
 }
 
 } // namespace optimus::algo

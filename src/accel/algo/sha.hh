@@ -11,7 +11,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "sim/state_codec.hh"
 
 namespace optimus::algo {
 
@@ -55,9 +56,9 @@ class Sha512
 
     static Digest hash(const void *data, std::size_t len);
 
-    /** Serialize internal state (for accelerator preemption). */
-    std::vector<std::uint8_t> serialize() const;
-    void deserialize(const std::vector<std::uint8_t> &blob);
+    /** Save or restore internal state (accelerator preemption). */
+    void serialize(sim::StateWriter &w) const;
+    void deserialize(sim::StateReader &r);
 
   private:
     void processBlock(const std::uint8_t *block);

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "sim/logging.hh"
-
 namespace optimus::accel {
 
 // ------------------------------------------------------------------ AES
@@ -106,8 +104,7 @@ BtcAccel::BtcAccel(sim::EventQueue &eq,
 void
 BtcAccel::onStart()
 {
-    _headerLoaded = false;
-    _headerLinesLoaded = 0;
+    onSoftReset();
     _nonce = static_cast<std::uint32_t>(appReg(kRegStartNonce));
     loadHeader();
 }
@@ -180,26 +177,16 @@ BtcAccel::mineBatch()
     scheduleGuarded(kBatch, [this]() { mineBatch(); });
 }
 
-std::vector<std::uint8_t>
-BtcAccel::saveArchState() const
+void
+BtcAccel::saveArchState(sim::StateWriter &w) const
 {
-    std::vector<std::uint8_t> blob(88);
-    std::memcpy(blob.data(), _header.data(), 80);
-    std::memcpy(blob.data() + 80, &_nonce, 4);
-    std::uint32_t loaded = _headerLoaded ? 1 : 0;
-    std::memcpy(blob.data() + 84, &loaded, 4);
-    return blob;
+    w.put(_header).put(_nonce).put(_headerLoaded);
 }
 
 void
-BtcAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+BtcAccel::restoreArchState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 88, "short BTC arch state");
-    std::memcpy(_header.data(), blob.data(), 80);
-    std::memcpy(&_nonce, blob.data() + 80, 4);
-    std::uint32_t loaded = 0;
-    std::memcpy(&loaded, blob.data() + 84, 4);
-    _headerLoaded = loaded != 0;
+    r.get(_header).get(_nonce).get(_headerLoaded);
     _headerLinesLoaded = _headerLoaded ? 2 : 0;
 }
 

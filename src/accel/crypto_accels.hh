@@ -35,10 +35,8 @@ class AesAccel : public StreamingAccelerator
     void streamBegin() override;
     void consumeLine(std::uint64_t offset, const std::uint8_t *data,
                      std::uint32_t bytes) override;
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override
+    void restoreTransformState(sim::StateReader &) override
     {
-        (void)blob;
         // The expanded key is derived state: rebuild it from the
         // (already restored) key registers on resume.
         streamBegin();
@@ -69,14 +67,13 @@ class Md5Accel : public StreamingAccelerator
                      std::uint32_t bytes) override;
     void streamEnd() override;
     std::uint64_t resultValue() const override { return _result8; }
-    std::vector<std::uint8_t> saveTransformState() const override
+    void saveTransformState(sim::StateWriter &w) const override
     {
-        return _md5.serialize();
+        _md5.serialize(w);
     }
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override
+    void restoreTransformState(sim::StateReader &r) override
     {
-        _md5.deserialize(blob);
+        _md5.deserialize(r);
     }
     std::uint64_t transformStateCapacity() const override
     {
@@ -101,14 +98,13 @@ class ShaAccel : public StreamingAccelerator
                      std::uint32_t bytes) override;
     void streamEnd() override;
     std::uint64_t resultValue() const override { return _result8; }
-    std::vector<std::uint8_t> saveTransformState() const override
+    void saveTransformState(sim::StateWriter &w) const override
     {
-        return _sha.serialize();
+        _sha.serialize(w);
     }
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override
+    void restoreTransformState(sim::StateReader &r) override
     {
-        _sha.deserialize(blob);
+        _sha.deserialize(r);
     }
     std::uint64_t transformStateCapacity() const override
     {
@@ -143,9 +139,8 @@ class BtcAccel : public Accelerator
   protected:
     void onStart() override;
     void onSoftReset() override;
-    std::vector<std::uint8_t> saveArchState() const override;
-    void restoreArchState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveArchState(sim::StateWriter &w) const override;
+    void restoreArchState(sim::StateReader &r) override;
     void onResumed() override;
     std::uint64_t archStateCapacity() const override { return 128; }
 

@@ -53,26 +53,18 @@ GrsAccel::streamEnd()
         flushOutLine();
 }
 
-std::vector<std::uint8_t>
-GrsAccel::saveTransformState() const
+void
+GrsAccel::saveTransformState(sim::StateWriter &w) const
 {
-    std::vector<std::uint8_t> blob(sim::kCacheLineBytes + 16);
-    std::memcpy(blob.data(), _outLine.data(), sim::kCacheLineBytes);
-    std::memcpy(blob.data() + sim::kCacheLineBytes, &_outFill, 8);
-    std::memcpy(blob.data() + sim::kCacheLineBytes + 8, &_outOffset,
-                8);
-    return blob;
+    w.put(_outLine).put(_outFill).put(_outOffset);
 }
 
 void
-GrsAccel::restoreTransformState(const std::vector<std::uint8_t> &blob)
+GrsAccel::restoreTransformState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= sim::kCacheLineBytes + 16,
-                   "short GRS state");
-    std::memcpy(_outLine.data(), blob.data(), sim::kCacheLineBytes);
-    std::memcpy(&_outFill, blob.data() + sim::kCacheLineBytes, 8);
-    std::memcpy(&_outOffset, blob.data() + sim::kCacheLineBytes + 8,
-                8);
+    r.get(_outLine).get(_outFill).get(_outOffset);
+    // The fill indexes the output line, which flushes when full.
+    r.check(_outFill < sim::kCacheLineBytes);
 }
 
 // ---------------------------------------------------------- row filters
@@ -169,46 +161,30 @@ RowFilterAccel::emitFilteredRow(const std::vector<std::uint8_t> &above,
     }
 }
 
-std::vector<std::uint8_t>
-RowFilterAccel::saveTransformState() const
+void
+RowFilterAccel::saveTransformState(sim::StateWriter &w) const
 {
-    // Layout: [rowsCompleted][curFill][prev row][prev2 row][cur row].
-    std::uint64_t cur_fill = _rowCur.size();
-    std::vector<std::uint8_t> blob(16 + 3 * kMaxWidth, 0);
-    std::memcpy(blob.data(), &_rowsCompleted, 8);
-    std::memcpy(blob.data() + 8, &cur_fill, 8);
-    if (!_rowPrev.empty())
-        std::memcpy(blob.data() + 16, _rowPrev.data(),
-                    _rowPrev.size());
-    if (!_rowPrev2.empty())
-        std::memcpy(blob.data() + 16 + kMaxWidth, _rowPrev2.data(),
-                    _rowPrev2.size());
-    if (!_rowCur.empty())
-        std::memcpy(blob.data() + 16 + 2 * kMaxWidth, _rowCur.data(),
-                    _rowCur.size());
-    return blob;
+    w.put(_rowsCompleted)
+        .putSpan(_rowPrev)
+        .putSpan(_rowPrev2)
+        .putSpan(_rowCur);
 }
 
 void
-RowFilterAccel::restoreTransformState(
-    const std::vector<std::uint8_t> &blob)
+RowFilterAccel::restoreTransformState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 16 + 3 * kMaxWidth,
-                   "short row-filter state");
-    std::uint64_t cur_fill = 0;
-    std::memcpy(&_rowsCompleted, blob.data(), 8);
-    std::memcpy(&cur_fill, blob.data() + 8, 8);
-
     const std::uint64_t w = width();
-    _rowPrev.assign(blob.data() + 16, blob.data() + 16 + w);
-    _rowPrev2.assign(blob.data() + 16 + kMaxWidth,
-                     blob.data() + 16 + kMaxWidth + w);
-    _rowCur.assign(blob.data() + 16 + 2 * kMaxWidth,
-                   blob.data() + 16 + 2 * kMaxWidth + cur_fill);
-    if (_rowsCompleted == 0)
-        _rowPrev.clear();
-    if (_rowsCompleted < 2)
-        _rowPrev2.clear();
+    r.get(_rowsCompleted)
+        .getSpan(_rowPrev, w)
+        .getSpan(_rowPrev2, w)
+        .getSpan(_rowCur, w);
+    // The window reads whole rows: each completed row the next output
+    // needs holds exactly one image row, the filling row stays short
+    // of one, and together they account for every byte consumed.
+    r.check(_rowsCompleted <= height() && _rowCur.size() < w &&
+            _rowPrev.size() == (_rowsCompleted >= 1 ? w : 0) &&
+            _rowPrev2.size() == (_rowsCompleted >= 2 ? w : 0) &&
+            _rowsCompleted * w + _rowCur.size() == streamPos());
 }
 
 GauAccel::GauAccel(sim::EventQueue &eq,

@@ -33,9 +33,8 @@ class GrsAccel : public StreamingAccelerator
     void consumeLine(std::uint64_t offset, const std::uint8_t *data,
                      std::uint32_t bytes) override;
     void streamEnd() override;
-    std::vector<std::uint8_t> saveTransformState() const override;
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveTransformState(sim::StateWriter &w) const override;
+    void restoreTransformState(sim::StateReader &r) override;
     std::uint64_t transformStateCapacity() const override
     {
         return sim::kCacheLineBytes + 16;
@@ -77,9 +76,8 @@ class RowFilterAccel : public StreamingAccelerator
     void consumeLine(std::uint64_t offset, const std::uint8_t *data,
                      std::uint32_t bytes) override;
     void streamEnd() override;
-    std::vector<std::uint8_t> saveTransformState() const override;
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveTransformState(sim::StateWriter &w) const override;
+    void restoreTransformState(sim::StateReader &r) override;
     std::uint64_t transformStateCapacity() const override
     {
         return 3 * kMaxWidth + 64;

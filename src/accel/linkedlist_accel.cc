@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "sim/logging.hh"
-
 namespace optimus::accel {
 
 LinkedlistAccel::LinkedlistAccel(sim::EventQueue &eq,
@@ -20,9 +18,8 @@ LinkedlistAccel::LinkedlistAccel(sim::EventQueue &eq,
 void
 LinkedlistAccel::onStart()
 {
+    onSoftReset();
     _current = appReg(kRegHead);
-    _walked = 0;
-    _checksum = 0;
     dma().setChannel(
         static_cast<ccip::VChannel>(appReg(kRegChannel)));
     step();
@@ -67,25 +64,18 @@ LinkedlistAccel::step()
                });
 }
 
-std::vector<std::uint8_t>
-LinkedlistAccel::saveArchState() const
+void
+LinkedlistAccel::saveArchState(sim::StateWriter &w) const
 {
     // The paper's canonical minimal state: the address of the next
     // node (plus the running counters).
-    std::vector<std::uint8_t> blob(24);
-    std::memcpy(blob.data(), &_current, 8);
-    std::memcpy(blob.data() + 8, &_walked, 8);
-    std::memcpy(blob.data() + 16, &_checksum, 8);
-    return blob;
+    w.put(_current).put(_walked).put(_checksum);
 }
 
 void
-LinkedlistAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+LinkedlistAccel::restoreArchState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 24, "short LinkedList state");
-    std::memcpy(&_current, blob.data(), 8);
-    std::memcpy(&_walked, blob.data() + 8, 8);
-    std::memcpy(&_checksum, blob.data() + 16, 8);
+    r.get(_current).get(_walked).get(_checksum);
 }
 
 void

@@ -26,9 +26,7 @@ void
 MembenchAccel::onStart()
 {
     _rng.reseed(appReg(kRegSeed) + 1);
-    _issued = 0;
-    _completed = 0;
-    _nextAllowed = 0;
+    onSoftReset();
     configure();
     pump();
 }
@@ -112,27 +110,19 @@ MembenchAccel::pump()
     }
 }
 
-std::vector<std::uint8_t>
-MembenchAccel::saveArchState() const
+void
+MembenchAccel::saveArchState(sim::StateWriter &w) const
 {
-    // The minimal state: the RNG and the operation counters.
-    auto rng_state = _rng.state();
-    std::vector<std::uint8_t> blob(sizeof(rng_state) + 16);
-    std::memcpy(blob.data(), rng_state.data(), sizeof(rng_state));
-    std::memcpy(blob.data() + sizeof(rng_state), &_issued, 8);
-    std::memcpy(blob.data() + sizeof(rng_state) + 8, &_completed, 8);
-    return blob;
+    // The minimal state: the RNG and the completed-operation count.
+    w.put(_rng.state()).put(_completed);
 }
 
 void
-MembenchAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+MembenchAccel::restoreArchState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 48, "short MemBench state");
-    std::array<std::uint64_t, 4> rng_state;
-    std::memcpy(rng_state.data(), blob.data(), sizeof(rng_state));
+    auto rng_state = _rng.state();
+    r.get(rng_state).get(_completed);
     _rng.setState(rng_state);
-    std::memcpy(&_issued, blob.data() + sizeof(rng_state), 8);
-    std::memcpy(&_completed, blob.data() + sizeof(rng_state) + 8, 8);
     // In-flight requests were drained before the save; account for
     // them as completed work.
     _issued = _completed;

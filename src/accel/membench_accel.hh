@@ -42,15 +42,11 @@ class MembenchAccel : public Accelerator
                   const sim::PlatformParams &params, std::string name,
                   sim::Scope scope = {});
 
-    /** Completed operations (PROGRESS register equivalent). */
-    std::uint64_t completedOps() const { return progress(); }
-
   protected:
     void onStart() override;
     void onSoftReset() override;
-    std::vector<std::uint8_t> saveArchState() const override;
-    void restoreArchState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveArchState(sim::StateWriter &w) const override;
+    void restoreArchState(sim::StateReader &r) override;
     void onResumed() override;
     std::uint64_t archStateCapacity() const override { return 64; }
 

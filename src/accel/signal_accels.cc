@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/logging.hh"
-
 namespace optimus::accel {
 
 // ------------------------------------------------------------------ FIR
@@ -42,20 +40,16 @@ FirAccel::consumeLine(std::uint64_t offset, const std::uint8_t *data,
     emit(dst() + offset, out, samples * 4);
 }
 
-std::vector<std::uint8_t>
-FirAccel::saveTransformState() const
+void
+FirAccel::saveTransformState(sim::StateWriter &w) const
 {
-    std::vector<std::uint8_t> blob(sizeof(_history));
-    std::memcpy(blob.data(), _history.data(), sizeof(_history));
-    return blob;
+    w.put(_history);
 }
 
 void
-FirAccel::restoreTransformState(const std::vector<std::uint8_t> &blob)
+FirAccel::restoreTransformState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= sizeof(_history),
-                   "short FIR state");
-    std::memcpy(_history.data(), blob.data(), sizeof(_history));
+    r.get(_history);
 }
 
 // ------------------------------------------------------------------ GRN
@@ -72,9 +66,8 @@ GrnAccel::GrnAccel(sim::EventQueue &eq,
 void
 GrnAccel::onStart()
 {
+    onSoftReset();
     _source = algo::GaussianSource(appReg(kRegSeed));
-    _generated = 0;
-    _pendingWrites = 0;
     pump();
 }
 
@@ -133,26 +126,19 @@ GrnAccel::pump()
     scheduleGuarded(kLineGapCycles, [this]() { pump(); });
 }
 
-std::vector<std::uint8_t>
-GrnAccel::saveArchState() const
+void
+GrnAccel::saveArchState(sim::StateWriter &w) const
 {
     algo::GaussianSource::State s = _source.state();
-    std::vector<std::uint8_t> blob(sizeof(s) + 8);
-    std::memcpy(blob.data(), &s, sizeof(s));
-    std::memcpy(blob.data() + sizeof(s), &_generated, 8);
-    return blob;
+    w.put(s.rng).put(s.hasSpare).put(s.spare).put(_generated);
 }
 
 void
-GrnAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+GrnAccel::restoreArchState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= sizeof(algo::GaussianSource::State) +
-                                      8,
-                   "short GRN state");
-    algo::GaussianSource::State s;
-    std::memcpy(&s, blob.data(), sizeof(s));
+    algo::GaussianSource::State s = _source.state();
+    r.get(s.rng).get(s.hasSpare).get(s.spare).get(_generated);
     _source.setState(s);
-    std::memcpy(&_generated, blob.data() + sizeof(s), 8);
     _pendingWrites = 0;
 }
 
@@ -210,28 +196,20 @@ RsdAccel::consumeLine(std::uint64_t offset, const std::uint8_t *data,
     _slotFill = 0;
 }
 
-std::vector<std::uint8_t>
-RsdAccel::saveTransformState() const
+void
+RsdAccel::saveTransformState(sim::StateWriter &w) const
 {
-    std::vector<std::uint8_t> blob(kSlotBytes + 32);
-    std::memcpy(blob.data(), _slot.data(), kSlotBytes);
-    std::uint64_t meta[4] = {_slotFill, _slotIndex, _corrected,
-                             _failures};
-    std::memcpy(blob.data() + kSlotBytes, meta, sizeof(meta));
-    return blob;
+    w.put(_slot).put(_slotFill).put(_slotIndex).put(_corrected).put(
+        _failures);
 }
 
 void
-RsdAccel::restoreTransformState(const std::vector<std::uint8_t> &blob)
+RsdAccel::restoreTransformState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= kSlotBytes + 32, "short RSD state");
-    std::memcpy(_slot.data(), blob.data(), kSlotBytes);
-    std::uint64_t meta[4];
-    std::memcpy(meta, blob.data() + kSlotBytes, sizeof(meta));
-    _slotFill = meta[0];
-    _slotIndex = meta[1];
-    _corrected = meta[2];
-    _failures = meta[3];
+    r.get(_slot).get(_slotFill).get(_slotIndex).get(_corrected).get(
+        _failures);
+    // The fill indexes the slot buffer; slots tile the input stream.
+    r.check(_slotFill == streamPos() % kSlotBytes);
 }
 
 // ------------------------------------------------------------------- SW

@@ -40,15 +40,10 @@ SsspAccel::onStart()
                         : kDefaultVertexWindow;
     dma().setMaxOutstanding(std::max(4 * _vertexWindow, 16u));
 
+    onSoftReset();
     _frontier.assign(
         1, static_cast<std::uint32_t>(appReg(kRegSource)));
-    _next.clear();
     _inNext.assign(_nvert, false);
-    _frontierPos = 0;
-    _activeVertices = 0;
-    _lineOps.clear();
-    _relaxations = 0;
-    _rounds = 0;
     dispatch();
 }
 
@@ -297,57 +292,40 @@ SsspAccel::maybeEndRound()
     dispatch();
 }
 
-std::vector<std::uint8_t>
-SsspAccel::saveArchState() const
+void
+SsspAccel::saveArchState(sim::StateWriter &w) const
 {
     // At save time the pipeline has drained: no active vertices and
-    // no line RMWs in flight. State is the remaining frontier, the
-    // next-round set, and the counters.
-    std::uint64_t rem = _frontier.size() - _frontierPos;
-    std::vector<std::uint8_t> blob(32 + 4 * (rem + _next.size()));
-    std::uint64_t hdr[4] = {rem, _next.size(), _relaxations, _rounds};
-    std::memcpy(blob.data(), hdr, sizeof(hdr));
-    // Either set may be empty, with a null data(): copy only real
-    // elements (memcpy from or to null is undefined even for 0 bytes).
-    if (rem > 0) {
-        std::memcpy(blob.data() + 32, _frontier.data() + _frontierPos,
-                    4 * rem);
-    }
-    if (!_next.empty()) {
-        std::memcpy(blob.data() + 32 + 4 * rem, _next.data(),
-                    4 * _next.size());
-    }
-    return blob;
+    // no line RMWs in flight. State is the counters, the remaining
+    // frontier, and the next-round set.
+    w.put(_relaxations)
+        .put(_rounds)
+        .putSpan(std::vector<std::uint32_t>(
+            _frontier.begin() + _frontierPos, _frontier.end()))
+        .putSpan(_next);
 }
 
 void
-SsspAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+SsspAccel::restoreArchState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 32, "short SSSP state");
-    std::uint64_t hdr[4];
-    std::memcpy(hdr, blob.data(), sizeof(hdr));
-
     _rowptr = appReg(kRegRowptr);
     _edges = appReg(kRegEdges);
     _dist = appReg(kRegDist);
     _nvert = static_cast<std::uint32_t>(appReg(kRegNvert));
 
-    _frontier.assign(hdr[0], 0);
-    _next.assign(hdr[1], 0);
-    if (!_frontier.empty())
-        std::memcpy(_frontier.data(), blob.data() + 32, 4 * hdr[0]);
-    if (!_next.empty()) {
-        std::memcpy(_next.data(), blob.data() + 32 + 4 * hdr[0],
-                    4 * hdr[1]);
-    }
-    _relaxations = hdr[2];
-    _rounds = hdr[3];
-    _frontierPos = 0;
-    _activeVertices = 0;
-    _lineOps.clear();
+    onSoftReset();
+    // Each set holds distinct vertices, so at most _nvert of them.
+    r.get(_relaxations)
+        .get(_rounds)
+        .getSpan(_frontier, _nvert)
+        .getSpan(_next, _nvert);
     _inNext.assign(_nvert, false);
+    // Vertex ids index the next-round bitmap and the CSR arrays.
+    for (std::uint32_t v : _frontier)
+        r.check(v < _nvert);
     for (std::uint32_t v : _next)
-        _inNext[v] = true;
+        if (r.check(v < _nvert))
+            _inNext[v] = true;
 }
 
 void

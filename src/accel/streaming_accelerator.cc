@@ -1,7 +1,6 @@
 #include "accel/streaming_accelerator.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -21,14 +20,10 @@ StreamingAccelerator::StreamingAccelerator(
 void
 StreamingAccelerator::onStart()
 {
+    StreamingAccelerator::onSoftReset();
     _nextAllowed = 0;
     _pumpEvent.cancel();
-    _nextReadOff = 0;
-    _consumedOff = 0;
-    _pendingWrites = 0;
     _inputDone = streamLen() == 0;
-    _endCalled = false;
-    _reorder.clear();
     streamBegin();
     if (_inputDone) {
         maybeFinish();
@@ -157,45 +152,30 @@ StreamingAccelerator::onResumed()
     maybeFinish();
 }
 
-std::vector<std::uint8_t>
-StreamingAccelerator::saveArchState() const
+void
+StreamingAccelerator::saveArchState(sim::StateWriter &w) const
 {
     // At save time the port has drained: everything issued has been
     // consumed, so the stream position is exactly _consumedOff.
-    std::vector<std::uint8_t> transform = saveTransformState();
-    std::vector<std::uint8_t> blob(16 + transform.size());
-    std::uint64_t pos = _consumedOff;
-    std::uint64_t tlen = transform.size();
-    std::memcpy(blob.data(), &pos, 8);
-    std::memcpy(blob.data() + 8, &tlen, 8);
-    // Stateless transforms (AES) have an empty state whose data() may
-    // be null, and memcpy from a null pointer is undefined even for 0.
-    if (!transform.empty()) {
-        std::memcpy(blob.data() + 16, transform.data(),
-                    transform.size());
-    }
-    return blob;
+    w.put(_consumedOff);
+    saveTransformState(w);
 }
 
 void
-StreamingAccelerator::restoreArchState(
-    const std::vector<std::uint8_t> &blob)
+StreamingAccelerator::restoreArchState(sim::StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 16, "short stream arch state");
     std::uint64_t pos = 0;
-    std::uint64_t tlen = 0;
-    std::memcpy(&pos, blob.data(), 8);
-    std::memcpy(&tlen, blob.data() + 8, 8);
-    OPTIMUS_ASSERT(blob.size() >= 16 + tlen, "truncated arch state");
+    r.get(pos);
+    // Input is consumed in whole lines; only the end of a stream
+    // with a short last line is off the line grid.
+    r.check(pos <= streamLen() &&
+            (pos % sim::kCacheLineBytes == 0 || pos == streamLen()));
 
+    StreamingAccelerator::onSoftReset();
     _consumedOff = pos;
     _nextReadOff = pos;
-    _pendingWrites = 0;
     _inputDone = pos >= streamLen();
-    _endCalled = false;
-    _reorder.clear();
-    restoreTransformState(std::vector<std::uint8_t>(
-        blob.begin() + 16, blob.begin() + 16 + tlen));
+    restoreTransformState(r);
 }
 
 std::uint64_t

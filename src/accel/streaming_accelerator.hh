@@ -74,16 +74,10 @@ class StreamingAccelerator : public Accelerator
     /** Value latched into the RESULT register at completion. */
     virtual std::uint64_t resultValue() const { return progress(); }
 
-    /** Serialize transform state appended to the stream position. */
-    virtual std::vector<std::uint8_t> saveTransformState() const
-    {
-        return {};
-    }
-    virtual void
-    restoreTransformState(const std::vector<std::uint8_t> &blob)
-    {
-        (void)blob;
-    }
+    /** Write transform state after the stream position. */
+    virtual void saveTransformState(sim::StateWriter &) const {}
+    /** Inverse of saveTransformState(); streamPos() is restored. */
+    virtual void restoreTransformState(sim::StateReader &) {}
 
     // ----- services for the derived class -----
     /** Emit an output write; completion is tracked by the engine. */
@@ -95,14 +89,15 @@ class StreamingAccelerator : public Accelerator
     {
         return appReg(stream_reg::kLen);
     }
+    /** Bytes of input consumed, in stream order. */
+    std::uint64_t streamPos() const { return _consumedOff; }
 
     // ----- Accelerator overrides -----
     void onStart() override;
     void onSoftReset() override;
     void onResumed() override;
-    std::vector<std::uint8_t> saveArchState() const override;
-    void restoreArchState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveArchState(sim::StateWriter &w) const override;
+    void restoreArchState(sim::StateReader &r) override;
     std::uint64_t archStateCapacity() const override;
 
     /** Extra capacity derived transforms need (default 4 KiB). */

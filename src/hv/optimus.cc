@@ -1,7 +1,6 @@
 #include "hv/optimus.hh"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 #include "fpga/mmio_layout.hh"
@@ -383,20 +382,6 @@ OptimusHv::registerDmaPage(VirtualAccel &v, mem::Gva page_base,
 
 // --------------------------------------- doorbell-free command rings
 
-ring::DeviceConfig
-OptimusHv::ringConfigFor(const VirtualAccel &v) const
-{
-    ring::DeviceConfig cfg;
-    cfg.base = mem::Gva(v._ctx.ringBase);
-    cfg.entries = v._ctx.ringEntries;
-    cfg.state.prodSeq = v._ctx.ringProdSeq;
-    cfg.state.nextSeq = v._ctx.ringConsSeq;
-    cfg.state.compSeq = v._ctx.ringCompSeq;
-    cfg.state.jobSeq = v._ctx.ringJobSeq;
-    cfg.state.jobActive = v._ctx.ringJobActive;
-    return cfg;
-}
-
 void
 OptimusHv::setupRing(VirtualAccel &v, mem::Gva base,
                      std::uint32_t entries,
@@ -416,15 +401,9 @@ OptimusHv::setupRing(VirtualAccel &v, mem::Gva base,
         [this, &v, base, entries,
          done = std::move(done)]() mutable {
             v._ctx.ringEnabled = true;
-            v._ctx.ringBase = base.value();
-            v._ctx.ringEntries = entries;
-            v._ctx.ringProdSeq = 0;
-            v._ctx.ringConsSeq = 0;
-            v._ctx.ringCompSeq = 0;
-            v._ctx.ringJobSeq = 0;
-            v._ctx.ringJobActive = false;
+            v._ctx.ring = ring::DeviceConfig{base, entries, {}};
             if (isScheduled(v))
-                _platform.accel(v._slot).armRing(ringConfigFor(v));
+                _platform.accel(v._slot).armRing(v._ctx.ring);
             done();
         });
 }
@@ -447,8 +426,8 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
             if (v._sched)
                 ++v._sched->ringSubmits;
             traceVaccel(sim::TraceKind::kRingSubmit, v, prod_seq);
-            if (prod_seq > v._ctx.ringProdSeq)
-                v._ctx.ringProdSeq = prod_seq;
+            std::uint64_t &prod = v._ctx.ring.state.prodSeq;
+            prod = std::max(prod, prod_seq);
             // Like START, new work acknowledges an earlier fault and
             // makes a quarantined tenant eligible again — but unlike
             // START it preserves a saved context: publishing behind a
@@ -456,7 +435,7 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
             v._ctx.visibleStatus = Status::kRunning;
             v._ctx.errStatus = 0;
             if (isScheduled(v))
-                _platform.accel(v._slot).ringNotify(v._ctx.ringProdSeq);
+                _platform.accel(v._slot).ringNotify(prod);
             else
                 claimSlot(v);
             armWatchdog(v);
@@ -471,25 +450,23 @@ OptimusHv::syncRingFromDevice(VirtualAccel &v,
     if (!v._ctx.ringEnabled || !a.ringArmed())
         return;
     const ring::DeviceState &st = a.ringState();
+    ring::DeviceState &m = v._ctx.ring.state;
     // Cursors only ever advance; a stale device view (e.g. a
     // freshly-armed placeholder next to imported mirrors) must not
     // roll them back.
-    if (st.compSeq > v._ctx.ringCompSeq) {
-        noteRingCompletes(v, v._ctx.ringCompSeq, st.compSeq);
-        v._ctx.ringCompSeq = st.compSeq;
+    if (st.compSeq > m.compSeq) {
+        noteRingCompletes(v, m.compSeq, st.compSeq);
+        m.compSeq = st.compSeq;
     }
-    if (st.nextSeq > v._ctx.ringConsSeq)
-        v._ctx.ringConsSeq = st.nextSeq;
-    if (st.prodSeq > v._ctx.ringProdSeq)
-        v._ctx.ringProdSeq = st.prodSeq;
+    m.nextSeq = std::max(m.nextSeq, st.nextSeq);
+    m.prodSeq = std::max(m.prodSeq, st.prodSeq);
     if (st.jobActive) {
-        v._ctx.ringJobActive = true;
-        v._ctx.ringJobSeq = st.jobSeq;
-    } else if (st.nextSeq >= v._ctx.ringConsSeq &&
-               st.compSeq >= v._ctx.ringCompSeq) {
+        m.jobActive = true;
+        m.jobSeq = st.jobSeq;
+    } else if (st.nextSeq >= m.nextSeq && st.compSeq >= m.compSeq) {
         // Only a device whose cursors are current can attest that no
         // job is in flight.
-        v._ctx.ringJobActive = false;
+        m.jobActive = false;
     }
 }
 
@@ -514,17 +491,18 @@ OptimusHv::postRingErrors(VirtualAccel &v)
     const Slot &slot = _slots[v._slot];
     if (slot.scheduled == &v)
         syncRingFromDevice(v, _platform.accel(v._slot));
-    const std::uint64_t from = v._ctx.ringCompSeq;
-    const std::uint64_t to = v._ctx.ringProdSeq;
-    v._ctx.ringJobActive = false;
+    ring::DeviceState &m = v._ctx.ring.state;
+    const std::uint64_t from = m.compSeq;
+    const std::uint64_t to = m.prodSeq;
+    m.jobActive = false;
     if (from >= to)
         return;
-    v._ctx.ringCompSeq = to;
-    v._ctx.ringConsSeq = to;
+    m.compSeq = to;
+    m.nextSeq = to;
     noteRingCompletes(v, from, to);
     const std::uint64_t err = v._ctx.errStatus;
-    const std::uint64_t base = v._ctx.ringBase;
-    const std::uint32_t entries = v._ctx.ringEntries;
+    const std::uint64_t base = v._ctx.ring.base.value();
+    const std::uint32_t entries = v._ctx.ring.entries;
     const sim::Tick at = eventq().now();
     guest::Process *proc = v._proc;
     // The entry slots and cursor words live in guest memory (host
@@ -626,7 +604,7 @@ OptimusHv::scheduleVaccel(VirtualAccel &v, std::function<void()> done)
         //    half-programmed device.
         auto arm = [this, &v, done = std::move(done)]() mutable {
             if (v._ctx.ringEnabled)
-                _platform.accel(v._slot).armRing(ringConfigFor(v));
+                _platform.accel(v._slot).armRing(v._ctx.ring);
             done();
         };
         deviceMmioSeq(std::move(w), std::move(arm));
@@ -908,11 +886,12 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
             // announces the fault. Everything submitted but not
             // completed gets an error completion.
             postRingErrors(*v);
-        } else if (v->_ctx.ringProdSeq > v->_ctx.ringConsSeq) {
+        } else if (v->_ctx.ring.state.prodSeq >
+                   v->_ctx.ring.state.nextSeq) {
             // Drained doorbell: every entry the device knew of is
             // complete. A publish kick that raced the drain just
             // re-notifies the poller instead.
-            a.ringNotify(v->_ctx.ringProdSeq);
+            a.ringNotify(v->_ctx.ring.state.prodSeq);
             return;
         }
     }
@@ -1035,18 +1014,12 @@ void
 OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx,
                          std::function<void()> switched)
 {
-    VaccelContext &c = v._ctx;
-    const VaccelContext local = std::exchange(c, ctx);
+    const VaccelContext local = std::exchange(v._ctx, ctx);
     if (!ctx.ringEnabled) {
         // Ring fields travel only with a ring-enabled context; a
         // ringless one leaves v's own attachment in place.
-        std::tie(c.ringEnabled, c.ringBase, c.ringEntries,
-                 c.ringProdSeq, c.ringConsSeq, c.ringCompSeq,
-                 c.ringJobSeq, c.ringJobActive) =
-            std::tie(local.ringEnabled, local.ringBase,
-                     local.ringEntries, local.ringProdSeq,
-                     local.ringConsSeq, local.ringCompSeq,
-                     local.ringJobSeq, local.ringJobActive);
+        v._ctx.ringEnabled = local.ringEnabled;
+        v._ctx.ring = local.ring;
     } else {
         // A kError context with submitted-but-uncompleted entries
         // came from a forced reset that raced the export. The source
@@ -1058,7 +1031,7 @@ OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx,
         // cursors (tenant setup armed it with fresh ones).
         Slot &rs = _slots[v._slot];
         if (rs.scheduled == &v && !rs.switching)
-            _platform.accel(v._slot).armRing(ringConfigFor(v));
+            _platform.accel(v._slot).armRing(v._ctx.ring);
     }
     if (ctx.visibleStatus != Status::kRunning || !optimusMode()) {
         switched();

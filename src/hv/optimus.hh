@@ -84,13 +84,7 @@ struct VaccelContext
      *  what re-arm the device poller exactly after preemption, slot
      *  migration, and cross-node import. */
     bool ringEnabled = false;
-    std::uint64_t ringBase = 0;
-    std::uint32_t ringEntries = 0;
-    std::uint64_t ringProdSeq = 0;
-    std::uint64_t ringConsSeq = 0;
-    std::uint64_t ringCompSeq = 0;
-    std::uint64_t ringJobSeq = 0;
-    bool ringJobActive = false;
+    ring::DeviceConfig ring{};
 };
 
 /** One virtual accelerator, as exposed to a guest. */
@@ -143,9 +137,9 @@ class VirtualAccel
      *  command ring (OptimusHv::setupRing) instead of MMIO START. */
     bool ringEnabled() const { return _ctx.ringEnabled; }
     /** Hypervisor mirror of the guest's published submit cursor. */
-    std::uint64_t ringProdSeq() const { return _ctx.ringProdSeq; }
+    std::uint64_t ringProdSeq() const { return _ctx.ring.state.prodSeq; }
     /** Hypervisor mirror of the device's completion cursor. */
-    std::uint64_t ringCompSeq() const { return _ctx.ringCompSeq; }
+    std::uint64_t ringCompSeq() const { return _ctx.ring.state.compSeq; }
 
   private:
     friend class OptimusHv;
@@ -492,8 +486,6 @@ class OptimusHv
     void onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a);
     sim::Tick sliceFor(const Slot &slot, const VirtualAccel &v) const;
     std::uint64_t sliceStride() const;
-    /** Device-side ring cursors for re-arming @p v's poller. */
-    ring::DeviceConfig ringConfigFor(const VirtualAccel &v) const;
     /** Refresh @p v's ring mirrors from the device poller's cursors
      *  (at doorbells, while @p v still owns the device). */
     void syncRingFromDevice(VirtualAccel &v,

@@ -189,13 +189,51 @@ TEST(Md5Test, SerializeRoundTrip)
 
     Md5 a;
     a.update(part1.data(), part1.size());
-    auto blob = a.serialize();
+    optimus::sim::StateWriter w;
+    a.serialize(w);
+    std::vector<std::uint8_t> blob = w.take();
 
     Md5 b;
-    b.deserialize(blob);
+    optimus::sim::StateReader r(blob);
+    b.deserialize(r);
+    EXPECT_TRUE(r.ok());
     b.update(part2.data(), part2.size());
     a.update(part2.data(), part2.size());
     EXPECT_EQ(a.finish(), b.finish());
+}
+
+/** Reject @p H state that is cut short or overwritten with 0xff;
+ *  the latter puts the buffer fill past the block, which the next
+ *  update() would turn into a wrapped free-space count. */
+template <typename H>
+void
+expectMalformedStateRejected()
+{
+    H a;
+    a.update("abc", 3);
+    optimus::sim::StateWriter w;
+    a.serialize(w);
+    std::vector<std::uint8_t> blob = w.take();
+
+    std::vector<std::uint8_t> cut(blob.begin(), blob.end() - 1);
+    optimus::sim::StateReader cut_r(cut);
+    H().deserialize(cut_r);
+    EXPECT_FALSE(cut_r.ok());
+
+    std::vector<std::uint8_t> ones(blob.size(), 0xff);
+    optimus::sim::StateReader ones_r(ones);
+    H b;
+    b.deserialize(ones_r);
+    EXPECT_FALSE(ones_r.ok());
+    // The rejected fill never reached the hasher.
+    b.reset();
+    b.update("abc", 3);
+    EXPECT_EQ(b.finish(), H::hash("abc", 3));
+}
+
+TEST(Md5Test, DeserializeRejectsMalformedState)
+{
+    expectMalformedStateRejected<Md5>();
 }
 
 TEST(Sha256Test, Fips180Vectors)
@@ -342,12 +380,21 @@ TEST(Sha512Test, IncrementalAndSerializeRoundTrip)
 
     Sha512 a;
     a.update(input.data(), 1000);
-    auto blob = a.serialize();
+    optimus::sim::StateWriter w;
+    a.serialize(w);
+    std::vector<std::uint8_t> blob = w.take();
     Sha512 b;
-    b.deserialize(blob);
+    optimus::sim::StateReader r(blob);
+    b.deserialize(r);
+    EXPECT_TRUE(r.ok());
     a.update(input.data() + 1000, input.size() - 1000);
     b.update(input.data() + 1000, input.size() - 1000);
     EXPECT_EQ(a.finish(), b.finish());
+}
+
+TEST(Sha512Test, DeserializeRejectsMalformedState)
+{
+    expectMalformedStateRejected<Sha512>();
 }
 
 } // namespace

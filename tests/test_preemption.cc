@@ -1,15 +1,17 @@
 /**
  * @file
  * Preemption-interface tests (Section 4.2): drain-save-resume round
- * trips preserve results for the conforming microbenchmarks (MB, LL)
- * and the streaming accelerators; forced reset fires on accelerators
- * that cannot cede; completion during a drain is handled; the state
- * buffer lives in guest DMA memory and really receives the context.
+ * trips preserve results for all 14 apps; forced reset fires on
+ * accelerators that cannot cede; completion during a drain is
+ * handled; the state buffer lives in guest DMA memory and really
+ * receives the context; and a guest that corrupts its saved context
+ * fails only its own job.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "accel/linkedlist_accel.hh"
 #include "accel/membench_accel.hh"
@@ -59,12 +61,14 @@ TEST_P(PreemptRoundTripTest, JobSurvivesContextSwitches)
     EXPECT_EQ(sys.hv.forcedResets(), 0u) << app;
 }
 
-// SW and SSSP restart on resume; BTC/MB/LL/streaming apps carry
-// their state. All of them must survive multiplexing.
+// SW restarts on resume; every other app carries its state through
+// the guest buffer. All 14 must survive multiplexing.
 INSTANTIATE_TEST_SUITE_P(Apps, PreemptRoundTripTest,
                          ::testing::Values("AES", "MD5", "SHA",
                                            "FIR", "GRN", "GRS",
-                                           "LL", "MB", "BTC"));
+                                           "GAU", "SBL", "RSD",
+                                           "SW", "SSSP", "LL", "MB",
+                                           "BTC"));
 
 TEST(PreemptionTest, StateBufferReceivesTheContext)
 {
@@ -266,5 +270,95 @@ TEST_P(LostStartTest, StartDuringSwitchOutRunsTheNewJob)
 
 INSTANTIATE_TEST_SUITE_P(Apps, LostStartTest,
                          ::testing::Values("SHA", "AES", "MB", "LL"));
+
+/** The {status, result, progress} header of a saved context. */
+constexpr std::uint64_t kStateHeaderBytes = 3 * sizeof(std::uint64_t);
+
+/**
+ * The state buffer is guest memory, so a tenant can overwrite its
+ * saved context while descheduled. Fill the buffer with 0xff from
+ * byte @p from on, between the victim's save and its resume: the
+ * resume must end the victim's job in kError with the kDeviceError
+ * bit, and the co-tenant sharing the accelerator must still complete
+ * with a verified result.
+ */
+void
+corruptSavedContext(const std::string &app, std::uint64_t from)
+{
+    sim::PlatformParams p = sim::PlatformParams::harpDefaults();
+    p.timeSlice = 50 * sim::kTickUs;
+    System sys(makeOptimusConfig(app, 1, p));
+    AccelHandle &victim = sys.attach(0, 1ULL << 30);
+    AccelHandle &other = sys.attach(0, 1ULL << 30);
+
+    // Long enough to be preempted; BTC's size sets only its difficulty.
+    const std::uint64_t victim_bytes =
+        app == "BTC" ? 1ULL << 30 : 4ULL << 20;
+    auto wv = workload::Workload::create(app, victim, victim_bytes, 17);
+    wv->program();
+    victim.setupStateBuffer();
+    auto wo = workload::Workload::create(app, other, 512 * 1024, 18);
+    wo->program();
+    other.setupStateBuffer();
+    const mem::Gva buf(victim.mmioRead(accel::reg::kStateBuf));
+    const std::uint64_t size = victim.mmioRead(accel::reg::kStateSize);
+
+    victim.start();
+    other.start();
+    // The co-tenant holds the slot only once the victim's context is
+    // saved in its buffer.
+    victim.pumpUntil([&]() { return sys.hv.isScheduled(other.vaccel()); });
+    ASSERT_EQ(sys.hv.peekStatus(victim.vaccel()), accel::Status::kRunning)
+        << app << ": the victim finished before its first preemption";
+    std::vector<std::uint8_t> junk(size - from, 0xff);
+    victim.memWrite(buf + from, junk.data(), junk.size());
+
+    EXPECT_EQ(other.wait(), accel::Status::kDone) << app;
+    EXPECT_TRUE(wo->verify()) << app;
+    sys.run(sys.eq.now() + 20 * sim::kTickMs);
+    EXPECT_EQ(sys.hv.peekStatus(victim.vaccel()), accel::Status::kError)
+        << app;
+    EXPECT_NE(victim.vaccel().errorStatus() & accel::errst::kDeviceError,
+              0u)
+        << app;
+}
+
+/** Every app: a clobbered header carries a status no preempt saves. */
+class CorruptSavedStateTest
+    : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(CorruptSavedStateTest, ResumeFailsOnlyTheVictim)
+{
+    corruptSavedContext(GetParam(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, CorruptSavedStateTest,
+                         ::testing::Values("AES", "MD5", "SHA", "FIR",
+                                           "GRN", "GRS", "GAU", "SBL",
+                                           "RSD", "SW", "SSSP", "LL",
+                                           "MB", "BTC"));
+
+/**
+ * Header intact, app fields clobbered: each app's own checks must
+ * reject them (stream position, vertex-set sizes, saved booleans).
+ * LL, MB and SW are absent: every bit pattern of their fields is a
+ * state they could have saved.
+ */
+class CorruptArchStateTest
+    : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(CorruptArchStateTest, ResumeFailsOnlyTheVictim)
+{
+    corruptSavedContext(GetParam(), kStateHeaderBytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, CorruptArchStateTest,
+                         ::testing::Values("AES", "MD5", "SHA", "FIR",
+                                           "GRN", "GRS", "GAU", "SBL",
+                                           "RSD", "SSSP", "BTC"));
 
 } // namespace

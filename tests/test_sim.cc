@@ -1,17 +1,19 @@
 /**
  * @file
  * Simulation-kernel tests: event ordering, clock domains, the stats
- * package, and the deterministic RNG.
+ * package, the deterministic RNG, and the saved-state codec.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <vector>
 
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "sim/state_codec.hh"
 #include "sim/stats.hh"
 #include "sim/telemetry.hh"
 #include "sim/types.hh"
@@ -230,6 +232,84 @@ TEST(TypesTest, FrequencyConversions)
     EXPECT_EQ(4_KiB, 4096u);
     EXPECT_EQ(2_MiB, 2097152u);
     EXPECT_EQ(64_GiB, 64ULL << 30);
+}
+
+TEST(StateCodecTest, FieldsAndSpansRoundTrip)
+{
+    std::array<std::uint32_t, 3> arr{7, 8, 9};
+    std::vector<std::uint16_t> span{1, 2, 3, 4};
+    std::vector<std::uint16_t> none;
+    StateWriter w;
+    w.put(std::uint64_t{42}).put(arr).put(true).putSpan(span).putSpan(
+        none);
+    std::vector<std::uint8_t> blob = w.take();
+    EXPECT_EQ(blob.size(), 8u + 12u + 1u + (8u + 8u) + 8u);
+
+    StateReader r(blob);
+    std::uint64_t x = 0;
+    std::array<std::uint32_t, 3> arr2{};
+    bool flag = false;
+    std::vector<std::uint16_t> span2;
+    std::vector<std::uint16_t> none2{5};
+    r.get(x).get(arr2).get(flag).getSpan(span2, 4).getSpan(none2, 0);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(x, 42u);
+    EXPECT_EQ(arr2, arr);
+    EXPECT_TRUE(flag);
+    EXPECT_EQ(span2, span);
+    EXPECT_TRUE(none2.empty());
+}
+
+TEST(StateCodecTest, ShortReadFailsAndSticks)
+{
+    std::vector<std::uint8_t> blob(12, 0x11);
+    StateReader r(blob);
+    std::uint64_t a = 0;
+    std::uint64_t b = 7;
+    std::uint32_t c = 9;
+    r.get(a).get(b);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(b, 7u); // a failed read leaves its target alone
+    // The four bytes left would fit, but the failure is sticky.
+    r.get(c);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(c, 9u);
+    EXPECT_FALSE(r.check(true));
+}
+
+TEST(StateCodecTest, RejectsNonBooleanByte)
+{
+    std::vector<std::uint8_t> blob{0x02};
+    StateReader r(blob);
+    bool flag = true;
+    r.get(flag);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(flag);
+}
+
+TEST(StateCodecTest, SpanCountIsBoundedByLimitAndBlob)
+{
+    StateWriter w;
+    w.putSpan(std::vector<std::uint32_t>(5, 1));
+    std::vector<std::uint8_t> blob = w.take();
+    std::vector<std::uint32_t> out{3};
+
+    StateReader over_limit(blob);
+    over_limit.getSpan(out, 4);
+    EXPECT_FALSE(over_limit.ok());
+    EXPECT_TRUE(out.empty());
+
+    blob.pop_back(); // the last element no longer fits
+    StateReader truncated(blob);
+    truncated.getSpan(out, 100);
+    EXPECT_FALSE(truncated.ok());
+
+    // A count whose byte size wraps 64 bits must not pass the check.
+    std::vector<std::uint8_t> ones(64, 0xff);
+    StateReader huge(ones);
+    huge.getSpan(out, ~std::size_t{0});
+    EXPECT_FALSE(huge.ok());
+    EXPECT_TRUE(out.empty());
 }
 
 } // namespace
