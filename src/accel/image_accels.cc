@@ -79,16 +79,22 @@ RowFilterAccel::RowFilterAccel(sim::EventQueue &eq,
 {
 }
 
+bool
+RowFilterAccel::geometryValid() const
+{
+    return width() > 0 && width() % sim::kCacheLineBytes == 0 &&
+           width() <= kMaxWidth && streamLen() % width() == 0;
+}
+
 void
 RowFilterAccel::streamBegin()
 {
-    OPTIMUS_ASSERT(width() > 0 &&
-                       width() % sim::kCacheLineBytes == 0 &&
-                       width() <= kMaxWidth,
-                   "row filter width must be a nonzero multiple of "
-                   "the line size");
-    OPTIMUS_ASSERT(streamLen() % width() == 0,
-                   "image length must be a whole number of rows");
+    // The width and LEN are guest registers: a geometry the line
+    // buffers cannot hold ends this job, not the simulator.
+    if (!geometryValid()) {
+        fail();
+        return;
+    }
     _rowPrev.clear();
     _rowPrev2.clear();
     _rowCur.clear();
@@ -173,6 +179,8 @@ RowFilterAccel::saveTransformState(sim::StateWriter &w) const
 void
 RowFilterAccel::restoreTransformState(sim::StateReader &r)
 {
+    if (!r.check(geometryValid()))
+        return;
     const std::uint64_t w = width();
     r.get(_rowsCompleted)
         .getSpan(_rowPrev, w)

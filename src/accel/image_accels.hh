@@ -85,6 +85,9 @@ class RowFilterAccel : public StreamingAccelerator
 
   private:
     std::uint64_t width() const { return appReg(kRegWidth); }
+    /** Width a nonzero multiple of the line size up to kMaxWidth,
+     *  and LEN a whole number of rows. */
+    bool geometryValid() const;
     std::uint64_t height() const
     {
         return width() ? streamLen() / width() : 0;

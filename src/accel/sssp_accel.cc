@@ -173,6 +173,14 @@ SsspAccel::fetchEdges(std::uint32_t v, std::uint32_t dv,
                     std::uint32_t w;
                     std::memcpy(&dest, t.data.data() + (a - lg), 4);
                     std::memcpy(&w, t.data.data() + (a - lg) + 4, 4);
+                    // Edges are guest data: a destination at or past
+                    // NVERT would index beyond the dist array and the
+                    // next-round bitmap, so it ends the job instead.
+                    if (dest >= _nvert) {
+                        if (status() != Status::kError)
+                            fail();
+                        return;
+                    }
                     relax(dest, dv + w);
                 }
                 if (--*remaining == 0) {

@@ -73,58 +73,79 @@ Iommu::translate(mem::Iova iova, bool is_write, TranslateCallback cb,
     // Coalesce: if a walk for this page is already queued or in
     // flight, attach to it instead of issuing another (as a hardware
     // walker's MSHRs would).
-    mem::Iova page = iova.pageBase(_pageBytes);
-    auto [it, fresh] = _walkWaiters.try_emplace(page.value());
-    it->second.push_back(
-        PendingWalk{iova, is_write, std::move(cb), vm, proc});
-    if (!fresh) {
-        ++_coalesced;
-        return;
+    const std::uint64_t page = iova.pageBase(_pageBytes).value();
+    PendingWalk waiter{iova, is_write, std::move(cb), vm, proc};
+    for (Walk &w : _walkTable) {
+        if (w.page == page) {
+            w.waiters.push_back(std::move(waiter));
+            ++_coalesced;
+            return;
+        }
     }
-    if (_activeWalks < _maxConcurrentWalks) {
-        startWalk(page);
+    std::uint32_t slot;
+    if (_freeWalks.empty()) {
+        slot = static_cast<std::uint32_t>(_walkTable.size());
+        _walkTable.emplace_back();
     } else {
-        _walkQueue.push_back(page);
+        slot = _freeWalks.back();
+        _freeWalks.pop_back();
+    }
+    _walkTable[slot].page = page;
+    _walkTable[slot].waiters.push_back(std::move(waiter));
+    if (_activeWalks < _maxConcurrentWalks) {
+        startWalk(slot);
+    } else {
+        _walkQueue.push_back(slot);
     }
 }
 
 void
-Iommu::startWalk(mem::Iova page)
+Iommu::startWalk(std::uint32_t slot)
 {
     ++_activeWalks;
     ++_walks;
     _eq.scheduleIn(_walkLatency,
-                   [this, page]() { finishWalk(page); });
+                   [this, slot]() { finishWalk(slot); });
 }
 
 void
-Iommu::finishWalk(mem::Iova page)
+Iommu::finishWalk(std::uint32_t slot)
 {
     --_activeWalks;
     if (!_walkQueue.empty()) {
-        mem::Iova next = _walkQueue.front();
+        std::uint32_t next = _walkQueue.front();
         _walkQueue.pop_front();
         startWalk(next);
     }
 
-    auto node = _walkWaiters.extract(page.value());
-    OPTIMUS_ASSERT(!node.empty(), "walk completion without waiters");
+    // Retire the slot before any callback runs: a miss that a
+    // callback issues for this page starts a fresh walk.
+    Walk &walk = _walkTable[slot];
+    OPTIMUS_ASSERT(!walk.waiters.empty(),
+                   "walk completion without waiters");
+    const mem::Iova page(walk.page);
+    _finishing.swap(walk.waiters);
+    walk.page = kFreeWalk;
+    _freeWalks.push_back(slot);
+
     auto entry = _iopt->lookup(page);
     if (entry) {
         // Attribute any conflict eviction to the tenant whose miss
         // started this walk (the first waiter).
-        const PendingWalk &first = node.mapped().front();
+        const PendingWalk &first = _finishing.front();
         _iotlb.insert(page, entry->base, entry->perms.writable,
                       first.vm, first.proc);
     }
-    for (PendingWalk &w : node.mapped()) {
-        auto translated = _iopt->translate(w.iova, w.isWrite);
-        if (!translated) {
+    for (PendingWalk &w : _finishing) {
+        if (!entry || !(w.isWrite ? entry->perms.writable
+                                  : entry->perms.readable)) {
             fault(w);
             continue;
         }
-        w.cb(TranslationResult{false, *translated});
+        w.cb(TranslationResult{
+            false, entry->base + w.iova.pageOffset(_pageBytes)});
     }
+    _finishing.clear();
 }
 
 void

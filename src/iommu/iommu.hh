@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "iommu/iotlb.hh"
 #include "mem/address.hh"
@@ -114,8 +114,19 @@ class Iommu
         std::uint16_t proc = sim::kNoOwner;
     };
 
-    void startWalk(mem::Iova page);
-    void finishWalk(mem::Iova page);
+    /** One page with a walk queued or in flight, and every miss
+     *  waiting on it in arrival order. Concurrent misses to the same
+     *  page coalesce onto one walk (MSHR-style). */
+    struct Walk
+    {
+        std::uint64_t page = kFreeWalk;
+        std::vector<PendingWalk> waiters;
+    };
+    /** Page value of an unused slot (never page aligned). */
+    static constexpr std::uint64_t kFreeWalk = ~0ULL;
+
+    void startWalk(std::uint32_t slot);
+    void finishWalk(std::uint32_t slot);
     void fault(const PendingWalk &w);
 
     sim::EventQueue &_eq;
@@ -123,10 +134,16 @@ class Iommu
     sim::Tick _walkLatency;
     std::uint32_t _maxConcurrentWalks;
     std::uint32_t _activeWalks = 0;
-    /** Pages with a walk queued or in flight; concurrent misses to
-     *  the same page coalesce onto one walk (MSHR-style). */
-    std::map<std::uint64_t, std::vector<PendingWalk>> _walkWaiters;
-    std::deque<mem::Iova> _walkQueue;
+    /** The walk table: at most one slot per outstanding DMA, so it
+     *  stays small and a linear search finds a page. Freed slots are
+     *  reused with their waiter storage. */
+    std::vector<Walk> _walkTable;
+    std::vector<std::uint32_t> _freeWalks;
+    /** Walk-table slots waiting for a free walker, oldest first. */
+    std::deque<std::uint32_t> _walkQueue;
+    /** The waiters of the walk being finished; swapped with the
+     *  slot's, so both keep their capacity. */
+    std::vector<PendingWalk> _finishing;
 
     std::uint64_t _pageBytes;
     std::unique_ptr<mem::IoPageTable> _iopt;

@@ -7,24 +7,31 @@
 
 namespace optimus::mem {
 
+HostMemory::Frame *
+HostMemory::findFrame(std::uint64_t frame_number) const
+{
+    std::uint64_t r = frame_number / kRegionFrames;
+    if (r >= _regions.size() || !_regions[r])
+        return nullptr;
+    return (*_regions[r])[frame_number % kRegionFrames].get();
+}
+
 HostMemory::Frame &
-HostMemory::frameFor(std::uint64_t frame_number)
+HostMemory::touchFrame(std::uint64_t frame_number)
 {
     OPTIMUS_ASSERT(frame_number * kFrameBytes < _capacity,
                    "physical address beyond DRAM capacity");
-    auto &slot = _frames[frame_number];
+    std::uint64_t r = frame_number / kRegionFrames;
+    if (r >= _regions.size())
+        _regions.resize(r + 1);
+    if (!_regions[r])
+        _regions[r] = std::make_unique<Region>();
+    auto &slot = (*_regions[r])[frame_number % kRegionFrames];
     if (!slot) {
-        slot = std::make_unique<Frame>();
-        slot->fill(0);
+        slot = std::make_unique<Frame>(); // value-initialized: zeroed
+        ++_framesTouched;
     }
     return *slot;
-}
-
-const HostMemory::Frame *
-HostMemory::frameForConst(std::uint64_t frame_number) const
-{
-    auto it = _frames.find(frame_number);
-    return it == _frames.end() ? nullptr : it->second.get();
 }
 
 void
@@ -38,8 +45,7 @@ HostMemory::read(Hpa addr, void *dst, std::uint64_t len) const
         std::uint64_t chunk = std::min(len, kFrameBytes - off);
         OPTIMUS_ASSERT(frame * kFrameBytes < _capacity,
                        "physical read beyond DRAM capacity");
-        const Frame *f = frameForConst(frame);
-        if (f) {
+        if (const Frame *f = findFrame(frame)) {
             std::memcpy(out, f->data() + off, chunk);
         } else {
             std::memset(out, 0, chunk); // untouched DRAM reads as zero
@@ -59,12 +65,12 @@ HostMemory::write(Hpa addr, const void *src, std::uint64_t len)
         std::uint64_t frame = a / kFrameBytes;
         std::uint64_t off = a % kFrameBytes;
         std::uint64_t chunk = std::min(len, kFrameBytes - off);
-        if (_scratchWrites && _frames.find(frame) == _frames.end()) {
-            // Scratch mode: drop writes to untouched frames.
-        } else {
-            Frame &f = frameFor(frame);
-            std::memcpy(f.data() + off, in, chunk);
-        }
+        Frame *f = findFrame(frame);
+        if (!f && !_scratchWrites)
+            f = &touchFrame(frame);
+        // Scratch mode drops writes to untouched frames (f stays null).
+        if (f)
+            std::memcpy(f->data() + off, in, chunk);
         in += chunk;
         a += chunk;
         len -= chunk;

@@ -14,7 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/address.hh"
 
@@ -24,7 +24,10 @@ namespace optimus::mem {
  * Sparse, frame-granular physical memory.
  *
  * Frames are allocated lazily on first touch so a simulated 188 GB
- * server costs only what the workloads actually write.
+ * server costs only what the workloads actually write. They sit in a
+ * two-level directory: a dense vector of 2 MiB regions, grown to the
+ * highest region written, each holding 512 frame slots. Finding a
+ * frame is two indexed loads, with no hashing.
  */
 class HostMemory
 {
@@ -64,7 +67,7 @@ class HostMemory
     }
 
     /** Number of frames materialized so far (for tests). */
-    std::size_t framesTouched() const { return _frames.size(); }
+    std::size_t framesTouched() const { return _framesTouched; }
 
     /**
      * Scratch mode: discard writes to frames that were never
@@ -78,15 +81,19 @@ class HostMemory
 
   private:
     static constexpr std::uint64_t kFrameBytes = kPage4K;
+    static constexpr std::uint64_t kRegionFrames = kPage2M / kPage4K;
     using Frame = std::array<std::uint8_t, kFrameBytes>;
+    using Region = std::array<std::unique_ptr<Frame>, kRegionFrames>;
 
-    Frame &frameFor(std::uint64_t frame_number);
-    const Frame *frameForConst(std::uint64_t frame_number) const;
+    /** The frame's storage, or null while it is untouched. */
+    Frame *findFrame(std::uint64_t frame_number) const;
+    /** The frame's storage, materialized (zeroed) on first touch. */
+    Frame &touchFrame(std::uint64_t frame_number);
 
     std::uint64_t _capacity;
     bool _scratchWrites = false;
-    mutable std::unordered_map<std::uint64_t, std::unique_ptr<Frame>>
-        _frames;
+    std::size_t _framesTouched = 0;
+    std::vector<std::unique_ptr<Region>> _regions;
 };
 
 } // namespace optimus::mem

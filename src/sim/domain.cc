@@ -251,32 +251,25 @@ EpochScheduler::deliverPosts()
     // and the message streams — never of which domain an endpoint
     // lives in — so every DomainPlan delivers the same streams in
     // the same order.
-    struct Ref
-    {
-        Tick when;
-        std::uint32_t chan;
-        std::uint64_t seq;
-        DomainId src;
-        std::uint32_t idx;
-    };
-    std::vector<Ref> order;
+    std::vector<PostRef> &order = _postOrder;
+    order.clear();
     for (DomainId d = 0; d < _set.size(); ++d) {
         auto &ob = _set.queue(d).outbox();
         for (std::uint32_t i = 0; i < ob.size(); ++i)
             order.push_back(
-                Ref{ob[i].when, ob[i].chan, ob[i].seq, d, i});
+                PostRef{ob[i].when, ob[i].chan, ob[i].seq, d, i});
     }
     if (order.empty())
         return;
     std::sort(order.begin(), order.end(),
-              [](const Ref &a, const Ref &b) {
+              [](const PostRef &a, const PostRef &b) {
                   if (a.when != b.when)
                       return a.when < b.when;
                   if (a.chan != b.chan)
                       return a.chan < b.chan;
                   return a.seq < b.seq;
               });
-    for (const Ref &r : order) {
+    for (const PostRef &r : order) {
         EventQueue::CrossPost &p = _set.queue(r.src).outbox()[r.idx];
         // Conservative guarantee: when >= send time + lookahead,
         // which is beyond the epoch the send happened in, so this

@@ -367,6 +367,16 @@ class EpochScheduler
         kStop,
     };
 
+    /** One outbox entry in deliverPosts' sort. */
+    struct PostRef
+    {
+        Tick when;
+        std::uint32_t chan;
+        std::uint64_t seq;
+        DomainId src;
+        std::uint32_t idx;
+    };
+
     void runDomain(DomainId d);
     void executeEpoch();
     void deliverPosts();
@@ -380,6 +390,8 @@ class EpochScheduler
     std::function<void()> _barrierHook;
     std::uint64_t _epochs = 0;
     std::uint64_t _delivered = 0;
+    /** deliverPosts' sort buffer, kept across barriers. */
+    std::vector<PostRef> _postOrder;
 
     // Epoch parameters staged by run() for the workers.
     Tick _epochEnd = 0;

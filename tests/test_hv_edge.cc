@@ -3,13 +3,16 @@
  * Hypervisor edge cases and failure injection: concurrent
  * virtual-accelerator creation racing on the VCU's staged registers,
  * DMA faults surfacing as job errors, guest soft reset semantics,
- * completion-handler delivery, and migration error paths.
+ * completion-handler delivery, migration error paths, and guest
+ * register or memory contents that must fail only their own job.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "accel/algo/graph.hh"
+#include "accel/image_accels.hh"
 #include "accel/linkedlist_accel.hh"
 #include "accel/sssp_accel.hh"
 #include "accel/streaming_accelerator.hh"
@@ -167,5 +170,88 @@ TEST(StateSizeTest, SsspStateSizeTracksGraphSize)
     EXPECT_GT(large, small);
     EXPECT_GE(large, 8ULL * 100000);
 }
+
+/**
+ * Edge destinations are guest data. Rewrite 64 edges of an SSSP graph
+ * to point 64 past NVERT, with that dist word mapped and above any
+ * candidate distance: the job ends in kError with kDeviceError instead
+ * of the device indexing past its next-round bitmap, and a co-tenant
+ * time-sharing the accelerator still completes with a verified result.
+ */
+TEST(GuestInputTest, SsspEdgePastNvertFailsOnlyThatJob)
+{
+    System sys(makeOptimusConfig("SSSP", 1));
+    AccelHandle &victim = sys.attach(0, 1ULL << 30);
+    AccelHandle &other = sys.attach(0, 1ULL << 30);
+
+    algo::CsrGraph g = algo::makeRandomGraph(64, 512, 63, 5);
+    workload::GraphLayout layout = workload::placeGraph(victim, g, 0);
+    const std::uint32_t bad = layout.vertices + 64;
+    for (std::uint64_t e = 0; e < 64; ++e)
+        victim.memWrite(layout.edges + 8 * e, &bad, sizeof(bad));
+    const std::uint32_t inf = algo::kDistInf;
+    victim.memWrite(layout.dist + 4ULL * bad, &inf, sizeof(inf));
+    workload::programSssp(victim, layout);
+    victim.setupStateBuffer();
+    auto wo = workload::Workload::create("SSSP", other, 4096, 6);
+    wo->program();
+    other.setupStateBuffer();
+
+    victim.start();
+    other.start();
+    EXPECT_EQ(victim.wait(), accel::Status::kError);
+    EXPECT_NE(victim.errorStatus() & accel::errst::kDeviceError, 0u);
+    EXPECT_EQ(other.wait(), accel::Status::kDone);
+    EXPECT_TRUE(wo->verify());
+}
+
+/** A row-filter width (APP3) and LEN as a guest might program them. */
+struct RowGeometry
+{
+    std::uint64_t width;
+    std::uint64_t len;
+};
+
+class RowFilterGeometryTest
+    : public ::testing::TestWithParam<RowGeometry>
+{
+};
+
+/**
+ * The row filter's line buffers hold a nonzero multiple of 64 bytes up
+ * to 8192 per row, and LEN must be whole rows. Anything else a guest
+ * writes ends its job in kError with kDeviceError (it used to panic
+ * the simulator); a co-tenant sharing the accelerator is unaffected.
+ */
+TEST_P(RowFilterGeometryTest, BadGeometryFailsOnlyThatJob)
+{
+    const RowGeometry geo = GetParam();
+    System sys(makeOptimusConfig("GAU", 1));
+    AccelHandle &victim = sys.attach(0, 1ULL << 30);
+    AccelHandle &other = sys.attach(0, 1ULL << 30);
+
+    auto wv = workload::Workload::create("GAU", victim, 64 * 1024, 3);
+    wv->program();
+    victim.writeAppReg(accel::RowFilterAccel::kRegWidth, geo.width);
+    victim.writeAppReg(accel::stream_reg::kLen, geo.len);
+    victim.setupStateBuffer();
+    auto wo = workload::Workload::create("GAU", other, 16 * 1024, 4);
+    wo->program();
+    other.setupStateBuffer();
+
+    victim.start();
+    other.start();
+    EXPECT_EQ(victim.wait(), accel::Status::kError);
+    EXPECT_NE(victim.errorStatus() & accel::errst::kDeviceError, 0u);
+    EXPECT_EQ(other.wait(), accel::Status::kDone);
+    EXPECT_TRUE(wo->verify());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, RowFilterGeometryTest,
+    ::testing::Values(RowGeometry{100, 6400},   // not a line multiple
+                      RowGeometry{0, 4096},     // zero width
+                      RowGeometry{8256, 8256},  // wider than 8192
+                      RowGeometry{1024, 3136})); // LEN not whole rows
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "iommu/iommu.hh"
@@ -194,6 +195,127 @@ TEST_F(IommuFixture, ConcurrentWalksQueueBeyondWalkerCapacity)
     // The last completion waited behind three walk generations.
     EXPECT_GE(done.back(), 4 * params.pageWalkLatency);
     EXPECT_EQ(iommu.walks(), 8u);
+}
+
+TEST_F(IommuFixture, DistinctMissesQueueBehindTwoWalkersAndCoalesce)
+{
+    // Four distinct pages miss at once, two accesses each (the second
+    // coalesces): four walks on two walkers, completing in two waves,
+    // each page's waiters in arrival order.
+    for (int i = 0; i < 4; ++i) {
+        iommu.pageTable().map(Iova(i * mem::kPage2M),
+                              Hpa((10 + i) * mem::kPage2M));
+    }
+    std::vector<std::pair<int, sim::Tick>> done;
+    for (int rep = 0; rep < 2; ++rep) {
+        for (int i = 0; i < 4; ++i) {
+            std::uint64_t off = 0x40 * (rep + 1);
+            iommu.translate(Iova(i * mem::kPage2M + off), false,
+                            [&, i, off](TranslationResult r) {
+                                EXPECT_FALSE(r.fault);
+                                EXPECT_EQ(r.hpa.value(),
+                                          (10 + i) * mem::kPage2M + off);
+                                done.emplace_back(i, eq.now());
+                            });
+        }
+    }
+    eq.runAll();
+    EXPECT_EQ(iommu.walks(), 4u);
+    EXPECT_EQ(iommu.coalescedWalks(), 4u);
+    ASSERT_EQ(done.size(), 8u);
+    const std::vector<int> order{0, 0, 1, 1, 2, 2, 3, 3};
+    for (std::size_t k = 0; k < done.size(); ++k)
+        EXPECT_EQ(done[k].first, order[k]) << k;
+    EXPECT_EQ(done[0].second, done[3].second); // first wave
+    EXPECT_EQ(done[4].second, done[7].second); // second wave
+    EXPECT_EQ(done[4].second - done[0].second, params.pageWalkLatency);
+}
+
+TEST_F(IommuFixture, OneWaiterFaultsAmongAWalksWaiters)
+{
+    // A read-only page: a read, a write and a read coalesce onto one
+    // walk. Only the write faults, and the others still translate;
+    // the fault does not disturb a second walk in flight.
+    iommu.pageTable().map(Iova(0), Hpa(mem::kPage2M),
+                          mem::PagePerms{true, false});
+    iommu.pageTable().map(Iova(mem::kPage2M), Hpa(2 * mem::kPage2M));
+    std::vector<Iova> faulted;
+    iommu.setFaultHandler([&](Iova a, bool) { faulted.push_back(a); });
+    std::vector<std::string> log;
+    auto record = [&](const char *name) {
+        return [&log, name](TranslationResult r) {
+            log.push_back(std::string(name) + (r.fault ? ":fault" : ":ok"));
+        };
+    };
+    iommu.translate(Iova(0x10), false, record("r0"));
+    iommu.translate(Iova(mem::kPage2M + 0x10), true, record("w1"));
+    iommu.translate(Iova(0x20), true, record("w0"));
+    iommu.translate(Iova(0x30), false, record("r0b"));
+    eq.runAll();
+    EXPECT_EQ(iommu.walks(), 2u);
+    EXPECT_EQ(iommu.coalescedWalks(), 2u);
+    EXPECT_EQ(log, (std::vector<std::string>{"r0:ok", "w0:fault",
+                                             "r0b:ok", "w1:ok"}));
+    ASSERT_EQ(faulted.size(), 1u);
+    EXPECT_EQ(faulted[0].value(), 0x20u);
+    EXPECT_EQ(iommu.faults(), 1u);
+    // The read-only entry reached the IOTLB: a later write faults on
+    // the hit path, a read hits.
+    bool wf = false, rf = true;
+    iommu.translate(Iova(0x40), true,
+                    [&](TranslationResult r) { wf = r.fault; });
+    iommu.translate(Iova(0x40), false,
+                    [&](TranslationResult r) { rf = r.fault; });
+    eq.runAll();
+    EXPECT_TRUE(wf);
+    EXPECT_FALSE(rf);
+    EXPECT_EQ(iommu.walks(), 2u);
+}
+
+TEST_F(IommuFixture, WalkSlotsAreReusedAcrossWaves)
+{
+    // Waves of misses over six pages in one IOTLB set (512 pages
+    // apart): every wave walks each page again, reusing the finished
+    // walks' slots. A completion that misses
+    // again on its own page starts a fresh walk rather than joining
+    // the one just finished.
+    iommu.setPageBytes(mem::kPage4K);
+    const std::uint64_t stride = 512 * mem::kPage4K;
+    for (int i = 0; i < 6; ++i)
+        iommu.pageTable().map(Iova(i * stride), Hpa((i + 1) * stride));
+    int ok = 0;
+    for (int wave = 0; wave < 5; ++wave) {
+        iommu.iotlb().invalidateAll(); // the last wave's page stays
+        for (int i = 0; i < 6; ++i) {
+            iommu.translate(Iova(i * stride + 8 * wave), false,
+                            [&, i, wave](TranslationResult r) {
+                                ASSERT_FALSE(r.fault);
+                                EXPECT_EQ(r.hpa.value(),
+                                          (i + 1) * stride + 8 * wave);
+                                ++ok;
+                            });
+        }
+        eq.runAll();
+    }
+    EXPECT_EQ(ok, 30);
+    EXPECT_EQ(iommu.walks(), 30u);
+    EXPECT_EQ(iommu.coalescedWalks(), 0u);
+
+    // Re-entrant miss from inside a completion.
+    iommu.iotlb().invalidateAll();
+    int inner = 0;
+    iommu.translate(Iova(0), false, [&](TranslationResult) {
+        iommu.iotlb().invalidateAll();
+        iommu.translate(Iova(4), false, [&](TranslationResult r) {
+            EXPECT_FALSE(r.fault);
+            EXPECT_EQ(r.hpa.value(), stride + 4);
+            ++inner;
+        });
+    });
+    eq.runAll();
+    EXPECT_EQ(inner, 1);
+    EXPECT_EQ(iommu.walks(), 32u);
+    EXPECT_EQ(iommu.coalescedWalks(), 0u);
 }
 
 TEST_F(IommuFixture, SetPageBytesRebuildsStructures)
